@@ -2,16 +2,19 @@
 //!
 //! Companion to Table 3's software ablation and ROADMAP item 3: the same
 //! symmetric small-RPC workload (fig4 shape, loopback sockets) over the
-//! three kernel datapaths, pricing each rung of syscall elimination:
+//! kernel datapaths, pricing each rung of kernel-boundary amortisation:
 //!
 //! 1. per-packet `send_to`/`recv_from` loop — O(packets) syscalls/pass,
-//! 2. `sendmmsg`/`recvmmsg` (`syscall_batching`, PR 5) — O(1),
-//! 3. io_uring SQ/CQ rings — at most one `io_uring_enter` per pass,
-//! 4. io_uring + SQPOLL — O(0): the kernel polls the SQ.
+//! 2. `sendmmsg`/`recvmmsg` (PR 5) — O(1) syscalls, one skb per packet,
+//! 3. `sendmmsg`/`recvmmsg` + `UDP_SEGMENT`/`UDP_GRO` — O(1) syscalls,
+//!    one skb per same-destination run of packets (pkts/msg > 1),
+//! 4. io_uring SQ/CQ rings — at most one `io_uring_enter` per pass,
+//! 5. io_uring + SQPOLL — O(0): the kernel polls the SQ.
 //!
 //! io_uring rows run only where the runtime probe succeeds (seccomp or
-//! an old kernel yields a typed `Unavailable`); the probe result itself
-//! is printed so CI logs show *why* a row is missing.
+//! an old kernel yields a typed `Unavailable`), and the segmented row
+//! runs as rung 2 where the kernel refuses UDP GSO/GRO; both probe
+//! results are printed so CI logs show *why* a row is missing or flat.
 
 use crate::table::{mrps, us, Table};
 use crate::udp_cluster::{run_udp_symmetric, UdpBackend, UdpSymmetricOpts};
@@ -40,6 +43,7 @@ pub fn run() -> String {
             "p50",
             "p99",
             "syscalls/RPC",
+            "pkts/msg",
             "enters/RPC",
             "enters/pass",
         ],
@@ -58,13 +62,16 @@ pub fn run() -> String {
     let backends = [
         UdpBackend::UdpLoop,
         UdpBackend::UdpMmsg,
+        UdpBackend::UdpSegmented,
         UdpBackend::Uring { sqpoll: false },
         UdpBackend::Uring { sqpoll: true },
     ];
+    let mut mmsg_syscalls_per_rpc = f64::INFINITY;
     for backend in backends {
         let Some(r) = run_udp_symmetric(&opts, backend) else {
             t.row(&[
                 backend.label().to_string(),
+                "—".into(),
                 "—".into(),
                 "—".into(),
                 "—".into(),
@@ -80,12 +87,33 @@ pub fn run() -> String {
             us(r.latency.percentile(50.0)),
             us(r.latency.percentile(99.0)),
             fmt_rate(r.syscalls_per_rpc()),
+            r.pkts_per_msg().map_or("—".into(), |v| format!("{v:.2}")),
             fmt_rate(r.enters_per_rpc()),
             fmt_rate(r.enters_per_pass()),
         ]);
         // Acceptance gates (ROADMAP item 3): without SQPOLL at most one
         // enter per event-loop pass; with it, sub-syscall-per-RPC.
         match backend {
+            UdpBackend::UdpMmsg => mmsg_syscalls_per_rpc = r.syscalls_per_rpc(),
+            UdpBackend::UdpSegmented if r.gso_fallbacks > 0 => {
+                t.note(
+                    "UDP segmentation probe: refused by this kernel, row ran on the sendmmsg rung",
+                );
+            }
+            UdpBackend::UdpSegmented => {
+                t.note("UDP segmentation probe: ok");
+                // Counts, not timings: runs must really share skbs, and
+                // grouping must not cost extra kernel crossings (5 %
+                // slack: the two rows are separate closed-loop runs).
+                let ppm = r.pkts_per_msg().unwrap_or(0.0);
+                assert!(ppm > 1.0, "segmented rung sent {ppm:.2} pkts/msg, want > 1");
+                assert!(
+                    r.syscalls_per_rpc() <= mmsg_syscalls_per_rpc * 1.05,
+                    "segmented rung: {:.3} syscalls/RPC > sendmmsg rung's {:.3}",
+                    r.syscalls_per_rpc(),
+                    mmsg_syscalls_per_rpc
+                );
+            }
             UdpBackend::Uring { sqpoll: false } => {
                 assert!(
                     r.enters_per_pass() <= 1.0 + 1e-9,
@@ -126,7 +154,7 @@ pub fn run() -> String {
     t.note(
         "syscalls/RPC counts send+recv syscalls plus io_uring_enter, measure-window deltas only",
     );
-    t.note("the per-packet loop is the `syscall_batching = false` ablation; sendmmsg is PR 5's O(1) rung");
+    t.note("pkts/msg = packets per kernel message (skb) sent; the loop and sendmmsg rungs are the `UdpConfig::batching` ablations of the segmented default");
     t.note("SQPOLL trades one kernel polling thread for a zero-syscall submit path (idle → one wakeup enter)");
     t.print();
     t.render()

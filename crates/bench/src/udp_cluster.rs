@@ -6,16 +6,17 @@
 //! endpoint is polled round-robin on the measured core, so rates are
 //! per-core numbers. What changes is the substrate — packets cross the
 //! kernel's loopback stack — which is exactly what the transport
-//! ablation wants to price: syscalls per RPC across the three doorbell
-//! disciplines (per-packet loop, `sendmmsg` batch, io_uring SQ), read
-//! from measure-window deltas of the transport counters.
+//! ablation wants to price: syscalls per RPC and packets per kernel
+//! message across the doorbell disciplines (per-packet loop, `sendmmsg`
+//! batch, segmented runs, io_uring SQ), read from measure-window deltas
+//! of the transport counters.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use erpc::{LatencyHistogram, MsgBuf, Rpc, RpcConfig};
-use erpc_transport::{Addr, SocketTransport, TransportStats, UdpConfig, UdpTransport};
+use erpc_transport::{Addr, SocketTransport, TransportStats, UdpBatching, UdpConfig, UdpTransport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,6 +30,10 @@ pub enum UdpBackend {
     UdpLoop,
     /// `sendmmsg`/`recvmmsg` batching (PR 5: O(1) syscalls per pass).
     UdpMmsg,
+    /// `sendmmsg`/`recvmmsg` carrying `UDP_SEGMENT`/`UDP_GRO` runs: O(1)
+    /// syscalls per pass *and* one kernel message per same-destination
+    /// run. Probe-gated; a refusing kernel runs it as `UdpMmsg`.
+    UdpSegmented,
     /// io_uring submission/completion rings (this PR: O(0) with
     /// `sqpoll`, at most one `io_uring_enter` per pass without).
     Uring {
@@ -43,6 +48,7 @@ impl UdpBackend {
         match self {
             UdpBackend::UdpLoop => "udp per-packet loop",
             UdpBackend::UdpMmsg => "udp sendmmsg/recvmmsg",
+            UdpBackend::UdpSegmented => "udp segmented (GSO/GRO)",
             UdpBackend::Uring { sqpoll: false } => "io_uring",
             UdpBackend::Uring { sqpoll: true } => "io_uring + SQPOLL",
         }
@@ -103,6 +109,12 @@ pub struct UdpSymmetricResult {
     pub ring_enters: u64,
     pub sqe_submitted: u64,
     pub cqe_harvested: u64,
+    pub tx_pkts: u64,
+    /// Kernel messages sent (`UdpTransport` only; 0 on io_uring).
+    pub tx_msgs: u64,
+    /// `UdpSegmented` only: probe refusals over the whole run (a fallback
+    /// happens at bind or on the first send, before the measure window).
+    pub gso_fallbacks: u64,
 }
 
 impl UdpSymmetricResult {
@@ -111,6 +123,12 @@ impl UdpSymmetricResult {
     pub fn syscalls_per_rpc(&self) -> f64 {
         (self.tx_syscalls + self.rx_syscalls + self.ring_enters) as f64
             / self.total_completed.max(1) as f64
+    }
+
+    /// Packets per kernel message sent: the amortisation factor of the
+    /// segmented rung (1 on the other UDP rungs; `None` on io_uring).
+    pub fn pkts_per_msg(&self) -> Option<f64> {
+        (self.tx_msgs > 0).then(|| self.tx_pkts as f64 / self.tx_msgs as f64)
     }
 
     /// `io_uring_enter` calls per completed RPC (io_uring rows only).
@@ -133,6 +151,9 @@ fn sum_stats<T: SocketTransport>(rpcs: &[Rpc<T>]) -> TransportStats {
         acc.ring_enters += s.ring_enters;
         acc.sqe_submitted += s.sqe_submitted;
         acc.cqe_harvested += s.cqe_harvested;
+        acc.tx_pkts += s.tx_pkts;
+        acc.tx_msgs += s.tx_msgs;
+        acc.gso_fallbacks += s.gso_fallbacks;
     }
     acc
 }
@@ -315,6 +336,9 @@ where
         ring_enters: end.ring_enters - base.ring_enters,
         sqe_submitted: end.sqe_submitted - base.sqe_submitted,
         cqe_harvested: end.cqe_harvested - base.cqe_harvested,
+        tx_pkts: end.tx_pkts - base.tx_pkts,
+        tx_msgs: end.tx_msgs - base.tx_msgs,
+        gso_fallbacks: end.gso_fallbacks,
     }
 }
 
@@ -327,9 +351,13 @@ pub fn run_udp_symmetric(
 ) -> Option<UdpSymmetricResult> {
     let local: std::net::SocketAddr = "127.0.0.1:0".parse().expect("loopback");
     match backend {
-        UdpBackend::UdpLoop | UdpBackend::UdpMmsg => {
+        UdpBackend::UdpLoop | UdpBackend::UdpMmsg | UdpBackend::UdpSegmented => {
             let cfg = UdpConfig {
-                syscall_batching: backend == UdpBackend::UdpMmsg,
+                batching: match backend {
+                    UdpBackend::UdpLoop => UdpBatching::PerPacket,
+                    UdpBackend::UdpMmsg => UdpBatching::Mmsg,
+                    _ => UdpBatching::Segmented,
+                },
                 ..UdpConfig::default()
             };
             Some(run_socket_symmetric(opts, backend, |addr| {

@@ -35,6 +35,9 @@ pub struct TimingWheel<T> {
     cursor_time_ns: u64,
     cursor: usize,
     len: usize,
+    /// Slot-by-slot cursor advances, for the O(slots) regression test.
+    #[cfg(test)]
+    advances: u64,
 }
 
 impl<T> TimingWheel<T> {
@@ -48,6 +51,8 @@ impl<T> TimingWheel<T> {
             cursor_time_ns: start_ns,
             cursor: 0,
             len: 0,
+            #[cfg(test)]
+            advances: 0,
         }
     }
 
@@ -81,13 +86,36 @@ impl<T> TimingWheel<T> {
     /// Release every entry whose deadline is ≤ `now_ns`, in slot order,
     /// invoking `f` for each. Entries found early (clamped by the horizon)
     /// are re-inserted rather than released.
+    ///
+    /// Cost is O(slots + entries), never O(idle time): an empty wheel
+    /// jumps its cursor, and of a gap longer than the horizon only the
+    /// last revolution is walked.
     pub fn reap(&mut self, now_ns: u64, mut f: impl FnMut(T)) {
-        while self.cursor_time_ns + self.granularity_ns <= now_ns {
+        let n = self.slots.len() as u64;
+        let mut steps = now_ns.saturating_sub(self.cursor_time_ns) / self.granularity_ns;
+        if steps > n {
+            // Every slot is overdue, so one revolution meets every entry:
+            // what is due leaves in the same slot order the full walk
+            // would give, and what is not was clamped by the horizon and
+            // is re-inserted against the cursor's time. Skip the time
+            // before that revolution; the cursor's slot stays.
+            self.cursor_time_ns += (steps - n) * self.granularity_ns;
+            steps = n;
+        }
+        while steps > 0 && self.len > 0 {
             // Drain the cursor slot entirely before advancing.
             self.drain_cursor(now_ns, &mut f);
             self.cursor = (self.cursor + 1) % self.slots.len();
             self.cursor_time_ns += self.granularity_ns;
+            steps -= 1;
+            #[cfg(test)]
+            {
+                self.advances += 1;
+            }
         }
+        // Nothing queued: the remaining slots are empty, jump over them.
+        self.cursor = ((self.cursor as u64 + steps) % n) as usize;
+        self.cursor_time_ns += steps * self.granularity_ns;
         // Partial: release due entries in the current slot.
         self.drain_cursor(now_ns, &mut f);
     }
@@ -185,6 +213,33 @@ mod tests {
         // Released in deadline order because insert deadlines are monotone.
         assert!(released.windows(2).all(|p| p[0] < p[1]));
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn reap_after_long_idle_is_bounded_by_slots() {
+        // The pacer's shape: 200 ns slots, first paced packet after 4 s
+        // of idle. The walk used to visit all 20 M idle slots.
+        let idle = 4_000_000_000u64;
+        let mut w = TimingWheel::new(64, 200, 0);
+        w.insert(idle + 500, 1u32);
+        assert_eq!(drain(&mut w, idle + 400), Vec::<u32>::new());
+        assert_eq!(drain(&mut w, idle + 500), vec![1]);
+        assert!(w.is_empty());
+        assert!(w.advances <= 64, "{} advances", w.advances);
+        // Empty wheel, another idle period: a pure jump.
+        let before = w.advances;
+        assert_eq!(drain(&mut w, 2 * idle), Vec::<u32>::new());
+        assert_eq!(w.advances, before);
+        // Entries straddling a gap longer than the horizon: due ones
+        // leave in slot order, the premature one survives the jump.
+        w.insert(2 * idle + 300, 2);
+        w.insert(2 * idle + 100, 3);
+        w.insert(3 * idle + 1_000, 4);
+        let before = w.advances;
+        assert_eq!(drain(&mut w, 3 * idle), vec![3, 2]);
+        assert!(w.advances - before <= 64);
+        assert_eq!(w.len(), 1);
+        assert_eq!(drain(&mut w, 3 * idle + 1_000), vec![4]);
     }
 
     #[test]

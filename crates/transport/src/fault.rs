@@ -24,8 +24,8 @@
 //! Injecting on TX only is sufficient for symmetric chaos: wrap both ends
 //! and each direction of the path is covered by its sender's wrapper.
 //! Faults are decided by a [`SmallRng`] seeded from `FaultConfig::seed`
-//! mixed with the endpoint address (the same idiom as `MemFabric` and
-//! `UdpTransport` loss), so a failing chaos campaign is replayed exactly
+//! mixed with the endpoint address (the same idiom as `MemFabric` loss),
+//! so a failing chaos campaign is replayed exactly
 //! by re-running its seed. [`FaultStats`] counts every decision.
 //!
 //! The wrapper is deliberately **not** in the linter's hot-module set: it

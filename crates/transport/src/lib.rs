@@ -41,7 +41,7 @@ pub use fault::{FaultConfig, FaultStats, FaultTransport};
 pub use mem::{MemFabric, MemFabricConfig, MemTransport};
 pub use pkt::{Addr, RxToken, TransportStats, TxPacket};
 pub use ring::PacketRing;
-pub use udp::{UdpConfig, UdpTransport};
+pub use udp::{UdpBatching, UdpConfig, UdpTransport};
 #[cfg(target_os = "linux")]
 pub use uring::{IoUringTransport, UringConfig, UringError};
 

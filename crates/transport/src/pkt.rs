@@ -141,6 +141,17 @@ pub struct TransportStats {
     /// Kernel receive syscalls issued (socket transports only). With
     /// syscall batching one `recvmmsg` claims a whole RX burst.
     pub rx_syscalls: u64,
+    /// Kernel messages (skbs) handed over by `UdpTransport`. With UDP
+    /// segmentation one message carries a run of packets, so
+    /// `tx_pkts / tx_msgs` is the amortisation factor; 1 without it.
+    pub tx_msgs: u64,
+    /// Kernel messages taken back by `UdpTransport`: with `UDP_GRO` one
+    /// may be a coalesced train of `rx_pkts / rx_msgs` packets.
+    pub rx_msgs: u64,
+    /// Times `UdpTransport` left its segmented rung for `sendmmsg`
+    /// because the kernel refused `UDP_GRO` at bind or a `UDP_SEGMENT`
+    /// send (at most one of each per transport).
+    pub gso_fallbacks: u64,
     /// `rx_burst` calls that stopped early because the transport's RX
     /// drain cap truncated the claim while more packets were (or may
     /// have been) pending — the fairness valve that keeps a flooding

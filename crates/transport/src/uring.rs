@@ -1695,8 +1695,11 @@ mod tests {
         // 64 failed constructions: fd count must be flat; the map count
         // may wobble by a few regions from allocator arena growth but
         // must not grow per-iteration (64 leaks would add ≥128 lines).
+        // The counts are process-wide, so the slack has to cover the
+        // sockets and rings of tests running on other threads (≤ 4 each);
+        // a leak of one fd per construction would add 64.
         assert!(
-            open_fds() <= fds + 2,
+            open_fds() <= fds + 8,
             "forced probe failures leak fds: {} -> {}",
             fds,
             open_fds()
@@ -1735,7 +1738,8 @@ mod tests {
             }
             b.rx_release();
         }
-        assert!(open_fds() <= fds + 2, "drop leaks fds");
+        // Slack as above; one leaked fd per pair would add 16.
+        assert!(open_fds() <= fds + 8, "drop leaks fds");
         assert!(mapped_regions() <= maps + 8, "drop leaks mappings");
     }
 }

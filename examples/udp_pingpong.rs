@@ -1,5 +1,6 @@
 //! Real-socket ping-pong: eRPC over kernel UDP on loopback, with optional
-//! fault injection (smoltcp-style `--drop-chance`).
+//! fault injection (smoltcp-style `--drop-chance`) by a `FaultTransport`
+//! around each socket.
 //!
 //! Shows that the protocol layer is transport-agnostic: the same `Rpc`
 //! code that runs on the in-memory fabric and the simulator runs over
@@ -12,8 +13,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use erpc::{Rpc, RpcConfig};
-use erpc_transport::udp::UdpConfig;
-use erpc_transport::{Addr, Transport, UdpTransport};
+use erpc_transport::{Addr, FaultConfig, FaultTransport, UdpConfig, UdpTransport};
 
 const ECHO: u8 = 1;
 
@@ -21,18 +21,18 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let n: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1000);
     let drop_pct: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(0.0);
-    let cfg = UdpConfig {
-        loss_prob: drop_pct / 100.0,
-        ..UdpConfig::default()
+    let faults = FaultConfig {
+        drop_prob: drop_pct / 100.0,
+        ..FaultConfig::default()
     };
 
     // Bind both endpoints on loopback; exchange routes.
     let server_addr = Addr::new(0, 0);
     let client_addr = Addr::new(1, 0);
-    let mut server_t =
-        UdpTransport::bind(server_addr, "127.0.0.1:0".parse().unwrap(), cfg.clone()).unwrap();
-    let mut client_t =
-        UdpTransport::bind(client_addr, "127.0.0.1:0".parse().unwrap(), cfg).unwrap();
+    let bind = |addr| {
+        UdpTransport::bind(addr, "127.0.0.1:0".parse().unwrap(), UdpConfig::default()).unwrap()
+    };
+    let (mut server_t, mut client_t) = (bind(server_addr), bind(client_addr));
     let ss = server_t.local_addr().unwrap();
     let cs = client_t.local_addr().unwrap();
     server_t.add_route(client_addr, cs);
@@ -45,8 +45,11 @@ fn main() {
         ping_interval_ns: 0,
         ..RpcConfig::default()
     };
-    let mut server = Rpc::new(server_t, rpc_cfg.clone());
-    let mut client = Rpc::new(client_t, rpc_cfg);
+    let mut server = Rpc::new(
+        FaultTransport::new(server_t, faults.clone()),
+        rpc_cfg.clone(),
+    );
+    let mut client = Rpc::new(FaultTransport::new(client_t, faults), rpc_cfg);
 
     server.register_request_handler(
         ECHO,
@@ -93,6 +96,6 @@ fn main() {
         el.as_secs_f64() * 1e3,
         n as f64 / el.as_secs_f64(),
         client.stats().retransmissions + server.stats().retransmissions,
-        client.transport().stats().tx_drop_fault + server.transport().stats().tx_drop_fault,
+        client.transport().fault_stats().dropped + server.transport().fault_stats().dropped,
     );
 }

@@ -1,7 +1,8 @@
 //! Loopback integration test for the socket transport backends (ISSUE 8,
 //! satellite 1): the same symmetric fig4-style request/response body runs
-//! over `UdpTransport` (both syscall-batching modes) and, where the runtime
-//! probe succeeds, over `IoUringTransport` with and without SQPOLL.
+//! over `UdpTransport` (all three rungs of its batching ladder) and, where
+//! the runtime probe succeeds, over `IoUringTransport` with and without
+//! SQPOLL.
 //!
 //! The io_uring rows are *skip-with-log*, never fail: on a kernel or
 //! seccomp profile that can't grant rings, `run_udp_symmetric` prints the
@@ -43,13 +44,20 @@ fn check_backend(backend: UdpBackend) -> bool {
     );
     // Backend-specific syscall-shape invariants (the point of the ladder).
     match backend {
-        UdpBackend::UdpLoop | UdpBackend::UdpMmsg => {
+        UdpBackend::UdpLoop | UdpBackend::UdpMmsg | UdpBackend::UdpSegmented => {
             assert_eq!(r.ring_enters, 0, "UDP backends must not touch io_uring");
             assert!(
                 r.tx_syscalls > 0,
                 "{}: UDP datapath reported zero send syscalls",
                 backend.label()
             );
+            // One kernel message per packet, except where the segmented
+            // rung's probe passed: there runs share messages.
+            if backend == UdpBackend::UdpSegmented && r.gso_fallbacks == 0 {
+                assert!(r.tx_msgs < r.tx_pkts, "segmented rung never built a run");
+            } else {
+                assert_eq!(r.tx_msgs, r.tx_pkts, "{}", backend.label());
+            }
         }
         UdpBackend::Uring { sqpoll } => {
             assert_eq!(
@@ -96,6 +104,16 @@ fn udp_mmsg_backend_loopback() {
     assert!(
         check_backend(UdpBackend::UdpMmsg),
         "sendmmsg/recvmmsg UDP must always be available"
+    );
+}
+
+#[test]
+fn udp_segmented_backend_loopback() {
+    // Never skipped: a kernel that refuses UDP GSO/GRO runs this body on
+    // the sendmmsg rung, which is the fallback under test.
+    assert!(
+        check_backend(UdpBackend::UdpSegmented),
+        "segmented UDP must always be available (falls back to sendmmsg)"
     );
 }
 
