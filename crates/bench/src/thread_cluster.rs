@@ -254,7 +254,6 @@ impl Default for BandwidthOpts {
             // 4096 B data + 16 B header per packet.
             fabric_cfg: MemFabricConfig {
                 mtu: 4112,
-                slot_size: 4224,
                 ring_capacity: 8192,
                 ..MemFabricConfig::default()
             },
@@ -374,7 +373,6 @@ mod tests {
             transfers: 2,
             fabric_cfg: MemFabricConfig {
                 mtu: 4112,
-                slot_size: 4224,
                 ring_capacity: 8192,
                 loss_prob: 1e-3,
                 ..MemFabricConfig::default()

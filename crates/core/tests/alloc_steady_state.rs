@@ -7,7 +7,11 @@
 //! 2. **worker**  — worker-thread handler (pooled msgbufs across the
 //!    thread hop; allocations on the worker thread count too),
 //! 3. **channel** — the typed `Channel` facade (slice-writer encode,
-//!    recycled outcome cells, borrow-decode).
+//!    recycled outcome cells, borrow-decode),
+//!
+//! and on the dispatch path again over a lossy link
+//! (`FaultTransport` dropping 1 % of packets each way), where the
+//! retransmission machinery and the fault wrapper run too.
 //!
 //! One `#[test]` drives all scenarios so the process-wide counting
 //! allocator sees no concurrent test noise. CI runs this file as a
@@ -22,7 +26,9 @@ use erpc::{
     RpcMessage, SessionHandle,
 };
 use erpc_transport::codec::ByteSink;
-use erpc_transport::{Addr, MemFabric, MemFabricConfig, MemTransport};
+use erpc_transport::{
+    Addr, FaultConfig, FaultTransport, MemFabric, MemFabricConfig, MemTransport, Transport,
+};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -58,7 +64,7 @@ fn cfg() -> RpcConfig {
     }
 }
 
-fn connect(client: &mut Rpc<MemTransport>, server: &mut Rpc<MemTransport>) -> SessionHandle {
+fn connect<T: Transport>(client: &mut Rpc<T>, server: &mut Rpc<T>) -> SessionHandle {
     let sess = client.create_session(server.addr()).unwrap();
     while !client.is_connected(sess) {
         client.run_event_loop_once();
@@ -68,9 +74,9 @@ fn connect(client: &mut Rpc<MemTransport>, server: &mut Rpc<MemTransport>) -> Se
 }
 
 /// Drive `n` closed-loop RPCs through the raw continuation API.
-fn drive_raw(
-    client: &mut Rpc<MemTransport>,
-    server: &mut Rpc<MemTransport>,
+fn drive_raw<T: Transport>(
+    client: &mut Rpc<T>,
+    server: &mut Rpc<T>,
     sess: SessionHandle,
     req_type: u8,
     n: u64,
@@ -92,9 +98,9 @@ fn drive_raw(
 
 /// Measure one raw-API scenario: warm up, then assert the measured window
 /// performed zero allocator traffic and zero pool misses.
-fn assert_raw_path_alloc_free(
-    client: &mut Rpc<MemTransport>,
-    server: &mut Rpc<MemTransport>,
+fn assert_raw_path_alloc_free<T: Transport>(
+    client: &mut Rpc<T>,
+    server: &mut Rpc<T>,
     sess: SessionHandle,
     req_type: u8,
     label: &str,
@@ -260,6 +266,30 @@ fn steady_state_is_allocation_free() {
         let mut client = Rpc::new(fabric.create_transport(Addr::new(3, 0)), cfg());
         let sess = connect(&mut client, &mut server);
         assert_raw_path_alloc_free(&mut client, &mut server, sess, SLOW, "worker");
+    }
+
+    // ── Scenario 1 again, 1 % of packets dropped each way: the fault
+    // wrapper, RTO scan and go-back-N retransmission allocate nothing ──
+    {
+        let lossy = |addr| {
+            let faults = FaultConfig {
+                drop_prob: 0.01,
+                ..FaultConfig::default()
+            };
+            FaultTransport::new(fabric.create_transport(addr), faults)
+        };
+        let mut server = Rpc::new(lossy(Addr::new(6, 0)), cfg());
+        server.register_request_handler(ECHO, Box::new(|ctx, req| ctx.respond(req)));
+        let mut client = Rpc::new(lossy(Addr::new(7, 0)), cfg());
+        let sess = connect(&mut client, &mut server);
+        assert_raw_path_alloc_free(&mut client, &mut server, sess, ECHO, "lossy dispatch");
+        let dropped =
+            |rpc: &Rpc<FaultTransport<MemTransport>>| rpc.transport().fault_stats().dropped;
+        assert!(
+            dropped(&client) + dropped(&server) > 0,
+            "no packet was dropped, the lossy scenario measured nothing"
+        );
+        assert!(client.stats().retransmissions > 0);
     }
 
     // ── Scenario 3: typed Channel facade ──

@@ -29,8 +29,10 @@
 //! by re-running its seed. [`FaultStats`] counts every decision.
 //!
 //! The wrapper is deliberately **not** in the linter's hot-module set: it
-//! copies held packets into owned buffers and may allocate per packet.
-//! Chaos runs measure robustness, not peak rate.
+//! copies corrupted and held packets into owned buffers, allocating per
+//! such packet. Packets it leaves alone are forwarded as sub-slices of the
+//! caller's burst, so drops — the fault the benchmark's lossy workload
+//! injects — cost no allocation (`alloc_steady_state` gates that).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -164,6 +166,17 @@ struct HeldPkt {
     bytes: Vec<u8>,
 }
 
+/// The faults drawn for one TX packet; the default is "none".
+#[derive(Debug, Default, PartialEq)]
+struct Faults {
+    /// Dropped or blackholed by a partition: nothing else applies.
+    lost: bool,
+    corrupt: bool,
+    dup: bool,
+    /// Time in the delay queue (reordering or added latency); 0 = none.
+    delay_ns: u64,
+}
+
 /// Fault-injecting wrapper around any [`Transport`]; see the module docs.
 pub struct FaultTransport<T> {
     inner: T,
@@ -171,9 +184,6 @@ pub struct FaultTransport<T> {
     rng: SmallRng,
     partitions: Vec<Partition>,
     held: Vec<HeldPkt>,
-    /// Owned copies of this burst's corrupted/duplicated packets, so the
-    /// forwarded [`TxPacket`]s have something to borrow.
-    stash: Vec<(Addr, Vec<u8>)>,
     fstats: FaultStats,
 }
 
@@ -187,7 +197,6 @@ impl<T: Transport> FaultTransport<T> {
             rng,
             partitions: Vec::new(),
             held: Vec::new(),
-            stash: Vec::new(),
             fstats: FaultStats::default(),
         }
     }
@@ -274,6 +283,45 @@ impl<T: Transport> FaultTransport<T> {
         self.fstats.released += due as u64;
     }
 
+    /// Draw (and count) the faults of one TX packet, in the order given on
+    /// [`FaultConfig`].
+    fn draw_faults(&mut self, p: &TxPacket<'_>, now: u64) -> Faults {
+        self.fstats.tx_seen += 1;
+        let lost = Faults {
+            lost: true,
+            ..Faults::default()
+        };
+        if self.is_partitioned(p.dst, now) {
+            self.fstats.partition_dropped += 1;
+            return lost;
+        }
+        if self.cfg.drop_prob > 0.0 && self.rng.gen_bool(self.cfg.drop_prob) {
+            self.fstats.dropped += 1;
+            return lost;
+        }
+        let corrupt = self.cfg.corrupt_prob > 0.0 && self.rng.gen_bool(self.cfg.corrupt_prob);
+        let dup = self.cfg.dup_prob > 0.0 && self.rng.gen_bool(self.cfg.dup_prob);
+        let reorder = self.cfg.reorder_prob > 0.0 && self.rng.gen_bool(self.cfg.reorder_prob);
+        let delay_ns = if reorder {
+            self.cfg.reorder_delay_ns.max(1)
+        } else {
+            self.cfg.extra_latency_ns
+        };
+        self.fstats.corrupted += u64::from(corrupt);
+        self.fstats.duplicated += u64::from(dup);
+        if reorder {
+            self.fstats.reordered += 1;
+        } else if delay_ns > 0 {
+            self.fstats.delayed += 1;
+        }
+        Faults {
+            lost: false,
+            corrupt,
+            dup,
+            delay_ns,
+        }
+    }
+
     /// Copy a packet into one owned buffer (header then data, the layout
     /// every transport serializes to the wire anyway).
     fn own_bytes(p: &TxPacket<'_>) -> Vec<u8> {
@@ -310,99 +358,56 @@ impl<T: Transport> Transport for FaultTransport<T> {
     fn tx_burst(&mut self, pkts: &[TxPacket<'_>]) {
         self.release_due();
         let now = self.inner.now_ns();
-        self.stash.clear();
-        // Decide each packet's fate; survivors are forwarded in-order as
-        // borrows of either the caller's packet or this burst's stash.
-        enum Fate {
-            Pass(usize),
-            Stashed(usize),
-        }
-        let mut forward: Vec<Fate> = Vec::with_capacity(pkts.len());
+        // Untouched packets are forwarded as the maximal sub-slices of the
+        // caller's burst between faulted ones (`pkts[start..i]` is the one
+        // pending), in order — so a burst with no fault or only drops, the
+        // steady state of a lossy run, copies and allocates nothing.
+        let mut start = 0;
         for (i, p) in pkts.iter().enumerate() {
-            self.fstats.tx_seen += 1;
-            if self.is_partitioned(p.dst, now) {
-                self.fstats.partition_dropped += 1;
+            let f = self.draw_faults(p, now);
+            if f == Faults::default() {
                 continue;
             }
-            if self.cfg.drop_prob > 0.0 && self.rng.gen_bool(self.cfg.drop_prob) {
-                self.fstats.dropped += 1;
+            if start < i {
+                self.inner.tx_burst(&pkts[start..i]);
+            }
+            start = i + 1;
+            if f.lost {
                 continue;
             }
-            let corrupt = self.cfg.corrupt_prob > 0.0 && self.rng.gen_bool(self.cfg.corrupt_prob);
-            let dup = self.cfg.dup_prob > 0.0 && self.rng.gen_bool(self.cfg.dup_prob);
-            let reorder = self.cfg.reorder_prob > 0.0 && self.rng.gen_bool(self.cfg.reorder_prob);
-            let delay_ns = if reorder {
-                self.cfg.reorder_delay_ns.max(1)
-            } else {
-                self.cfg.extra_latency_ns
+            if !f.corrupt && f.delay_ns == 0 {
+                // A plain duplicate needs no owned copy.
+                self.inner.tx_burst(&[*p, *p]);
+                continue;
+            }
+            // A fault that changes bytes or timing needs an owned copy.
+            let mut bytes = Self::own_bytes(p);
+            if f.corrupt {
+                Self::corrupt(&mut bytes, &mut self.rng);
+            }
+            let owned = TxPacket {
+                dst: p.dst,
+                hdr: &bytes,
+                data: &[],
             };
-            if corrupt {
-                self.fstats.corrupted += 1;
+            // Both copies of a corrupted packet are corrupted. The
+            // duplicate of a held packet goes out immediately: the copies
+            // then straddle the reorder window.
+            let copies_now = usize::from(f.delay_ns == 0) + usize::from(f.dup);
+            if copies_now > 0 {
+                self.inner.tx_burst(&[owned, owned][..copies_now]);
             }
-            if reorder {
-                self.fstats.reordered += 1;
-            } else if delay_ns > 0 {
-                self.fstats.delayed += 1;
-            }
-            // Any fault that changes bytes or timing needs an owned copy.
-            if delay_ns > 0 {
-                let mut bytes = Self::own_bytes(p);
-                if corrupt {
-                    Self::corrupt(&mut bytes, &mut self.rng);
-                }
-                if dup {
-                    // The duplicate of a held packet goes out immediately:
-                    // copies then straddle the reorder window.
-                    self.fstats.duplicated += 1;
-                    self.stash.push((p.dst, bytes.clone()));
-                    forward.push(Fate::Stashed(self.stash.len() - 1));
-                }
+            if f.delay_ns > 0 {
                 self.held.push(HeldPkt {
-                    release_ns: now.saturating_add(delay_ns),
+                    release_ns: now.saturating_add(f.delay_ns),
                     dst: p.dst,
                     bytes,
                 });
-                continue;
-            }
-            if corrupt {
-                let mut bytes = Self::own_bytes(p);
-                Self::corrupt(&mut bytes, &mut self.rng);
-                self.stash.push((p.dst, bytes));
-                forward.push(Fate::Stashed(self.stash.len() - 1));
-            } else {
-                forward.push(Fate::Pass(i));
-            }
-            if dup {
-                self.fstats.duplicated += 1;
-                let dup_idx = match forward.last() {
-                    Some(Fate::Stashed(j)) => *j,
-                    _ => {
-                        self.stash.push((p.dst, Self::own_bytes(p)));
-                        self.stash.len() - 1
-                    }
-                };
-                forward.push(Fate::Stashed(dup_idx));
             }
         }
-        if forward.is_empty() {
-            return;
+        if start < pkts.len() {
+            self.inner.tx_burst(&pkts[start..]);
         }
-        let stash = &self.stash;
-        let out: Vec<TxPacket<'_>> = forward
-            .iter()
-            .map(|f| match f {
-                Fate::Pass(i) => pkts[*i],
-                Fate::Stashed(j) => {
-                    let (dst, bytes) = &stash[*j];
-                    TxPacket {
-                        dst: *dst,
-                        hdr: bytes,
-                        data: &[],
-                    }
-                }
-            })
-            .collect();
-        self.inner.tx_burst(&out);
     }
 
     fn tx_flush(&mut self) {
@@ -514,6 +519,36 @@ mod tests {
     }
 
     #[test]
+    fn faulted_burst_forwards_survivors_in_order() {
+        // One 64-packet burst with drops and duplicates mixed in: what
+        // arrives is the burst minus the drops, duplicates adjacent.
+        let (mut a, mut b) = pair(FaultConfig {
+            seed: 7,
+            drop_prob: 0.2,
+            dup_prob: 0.2,
+            ..FaultConfig::default()
+        });
+        let hdrs: Vec<[u8; 1]> = (0..64u8).map(|i| [i]).collect();
+        let burst: Vec<TxPacket<'_>> = hdrs
+            .iter()
+            .map(|h| TxPacket {
+                dst: B,
+                hdr: h,
+                data: b"payload",
+            })
+            .collect();
+        a.tx_burst(&burst);
+        let got: Vec<u8> = drain(&mut b).iter().map(|bytes| bytes[0]).collect();
+        let fs = a.fault_stats();
+        assert!(fs.dropped > 0 && fs.duplicated > 0, "{fs:?}");
+        assert_eq!(got.len() as u64, 64 - fs.dropped + fs.duplicated);
+        assert!(got.windows(2).all(|w| w[0] <= w[1]), "reordered: {got:?}");
+        let mut distinct = got.clone();
+        distinct.dedup();
+        assert_eq!(distinct.len() as u64, 64 - fs.dropped);
+    }
+
+    #[test]
     fn different_seeds_differ() {
         let mk = |seed| FaultConfig {
             seed,
@@ -600,7 +635,7 @@ mod tests {
         // Hold the first packet long enough that the second overtakes it.
         let (mut a, mut b) = pair(FaultConfig {
             reorder_prob: 1.0,
-            reorder_delay_ns: 2_000_000,
+            reorder_delay_ns: 20_000_000, // well above a host scheduling stall
             ..FaultConfig::default()
         });
         a.tx_burst(&[TxPacket {
@@ -616,7 +651,7 @@ mod tests {
         }]);
         let first = drain(&mut b);
         assert_eq!(first, vec![b"early".to_vec()], "overtaker arrives first");
-        std::thread::sleep(std::time::Duration::from_millis(3));
+        std::thread::sleep(std::time::Duration::from_millis(21));
         a.rx_burst(1, &mut Vec::new()); // RX poll drains the delay queue
         let second = drain(&mut b);
         assert_eq!(second, vec![b"late".to_vec()], "held packet arrives late");
@@ -625,13 +660,13 @@ mod tests {
     #[test]
     fn extra_latency_delays_everything() {
         let (mut a, mut b) = pair(FaultConfig {
-            extra_latency_ns: 2_000_000,
+            extra_latency_ns: 20_000_000, // well above a host scheduling stall
             ..FaultConfig::default()
         });
         send_n(&mut a, 3);
         assert_eq!(a.fault_stats().delayed, 3);
         assert_eq!(drain(&mut b).len(), 0);
-        std::thread::sleep(std::time::Duration::from_millis(3));
+        std::thread::sleep(std::time::Duration::from_millis(21));
         a.tx_flush(); // the flush barrier also drains the queue
         let got = drain(&mut b);
         assert_eq!(got.len(), 3);
@@ -645,13 +680,13 @@ mod tests {
     fn partition_blackholes_then_heals() {
         let (mut a, mut b) = pair(FaultConfig::default());
         let now = a.now_ns();
-        a.partition(B, now, now + 1_500_000);
+        a.partition(B, now, now + 20_000_000);
         assert!(a.is_partitioned(B, a.now_ns()));
         send_n(&mut a, 4);
         assert_eq!(a.fault_stats().partition_dropped, 4);
         assert_eq!(drain(&mut b).len(), 0);
         // The window expires on its own — no heal call.
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(std::time::Duration::from_millis(21));
         assert!(!a.is_partitioned(B, a.now_ns()));
         send_n(&mut a, 4);
         assert_eq!(drain(&mut b).len(), 4);

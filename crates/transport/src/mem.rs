@@ -7,6 +7,12 @@
 //! drops it at a NIC (§4.1.1), and consumers read payloads in place
 //! (zero-copy RX, §4.2.3).
 //!
+//! The unit of TX work is a **run** — the maximal consecutive packets of a
+//! burst that go to one destination: one route resolution, one liveness
+//! check and one slot reservation ([`PacketRing::push_run`]) per run, the
+//! way `udp.rs` turns a run into one kernel message (DESIGN.md
+//! § "MemFabric"). RX claims a burst and releases it as one range.
+//!
 //! Fault injection: an optional seeded Bernoulli drop probability on the TX
 //! path turns the fabric lossy for the loss-tolerance experiments
 //! (Table 4).
@@ -36,9 +42,8 @@ use crate::Transport;
 pub struct MemFabricConfig {
     /// RX descriptors per endpoint ring.
     pub ring_capacity: usize,
-    /// Max packet bytes (slot size). Must be ≥ `mtu`.
-    pub slot_size: usize,
-    /// Max packet bytes admitted by `tx_burst` (the link MTU at eRPC layer).
+    /// Max packet bytes admitted by `tx_burst` (the link MTU at eRPC
+    /// layer). Also sizes the ring slots: `mtu` rounded up to 64 B.
     pub mtu: usize,
     /// Probability of dropping each TX packet (injected loss).
     pub loss_prob: f64,
@@ -50,7 +55,6 @@ impl Default for MemFabricConfig {
     fn default() -> Self {
         Self {
             ring_capacity: 4096,
-            slot_size: 4224,
             mtu: 1040, // 16 B eRPC header + 1024 B data, like eRPC's Ethernet MTU
             loss_prob: 0.0,
             seed: 0x5eed,
@@ -91,8 +95,7 @@ impl MemFabric {
     /// one thread, like an `Rpc` object).
     pub fn create_transport(&self, addr: Addr) -> MemTransport {
         let cfg = &self.inner.cfg;
-        assert!(cfg.mtu <= cfg.slot_size, "mtu must fit in a ring slot");
-        let ring = Arc::new(PacketRing::new(cfg.ring_capacity, cfg.slot_size));
+        let ring = Arc::new(PacketRing::new(cfg.ring_capacity, cfg.mtu));
         let prev = self
             .inner
             .endpoints
@@ -105,7 +108,7 @@ impl MemFabric {
             rx: ring,
             last_route: None,
             routes: (0..ROUTE_WAYS).map(|_| None).collect(),
-            claimed: Vec::with_capacity(64),
+            claimed: (0, 0),
             rng: SmallRng::seed_from_u64(cfg.seed ^ (addr.key() as u64) << 17),
             stats: TransportStats::default(),
         }
@@ -145,32 +148,34 @@ pub struct MemTransport {
     /// `HashMap` lookup. The registry lock is taken only on a miss or
     /// when a cached ring has closed.
     routes: Box<[RouteEntry]>,
-    /// Slots claimed since the last `rx_release`: (pos, len).
-    claimed: Vec<(u64, u32)>,
+    /// Slots claimed since the last `rx_release`: (first position, count).
+    /// One range suffices, the ring hands out consecutive positions.
+    claimed: (u64, usize),
     rng: SmallRng,
     stats: TransportStats,
 }
 
 impl MemTransport {
+    /// The live ring of `key`, resolved once per run. Borrowed from the
+    /// one-entry cache: no reference count moves on the datapath.
     #[inline]
-    fn route(&mut self, dst: Addr) -> Option<Arc<PacketRing>> {
-        let key = dst.key();
-        if let Some((k, r)) = &self.last_route {
-            if *k == key && !r.is_closed() {
-                return Some(Arc::clone(r));
-            }
+    fn route(&mut self, key: u32) -> Option<&PacketRing> {
+        let hit = matches!(&self.last_route, Some((k, r)) if *k == key && !r.is_closed());
+        if !hit {
+            self.route_slow(key)?;
         }
-        self.route_slow(key)
+        self.last_route.as_ref().map(|(_, r)| &**r)
     }
 
-    fn route_slow(&mut self, key: u32) -> Option<Arc<PacketRing>> {
+    /// Point `last_route` at the live ring of `key`, through the
+    /// direct-mapped table or, on a miss, the registry.
+    fn route_slow(&mut self, key: u32) -> Option<()> {
         let idx = key as usize & (ROUTE_WAYS - 1);
         if let Some((k, r)) = &self.routes[idx] {
             if *k == key {
                 if !r.is_closed() {
-                    let r = Arc::clone(r);
-                    self.last_route = Some((key, Arc::clone(&r)));
-                    return Some(r);
+                    self.last_route = Some((key, Arc::clone(r)));
+                    return Some(());
                 }
                 // The cached peer died (endpoint dropped or removed):
                 // forget the ghost ring and re-resolve — the address may
@@ -187,8 +192,41 @@ impl MemTransport {
             return None;
         }
         self.routes[idx] = Some((key, Arc::clone(&r)));
-        self.last_route = Some((key, Arc::clone(&r)));
-        Some(r)
+        self.last_route = Some((key, r));
+        Some(())
+    }
+
+    /// Whether the sender itself drops `p` (and counts why): over the MTU,
+    /// or picked by the injected-loss draw. One draw per admissible packet,
+    /// in burst order, so a seed fixes the loss schedule.
+    #[inline]
+    fn tx_drops(&mut self, p: &TxPacket<'_>) -> bool {
+        let cfg = &self.fabric.cfg;
+        if p.len() > cfg.mtu {
+            self.stats.tx_drop_err += 1;
+            true
+        } else if cfg.loss_prob > 0.0 && self.rng.gen_bool(cfg.loss_prob) {
+            self.stats.tx_drop_fault += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Deliver one run — consecutive packets of a burst to one destination
+    /// — with one route resolution and one slot reservation.
+    fn tx_run(&mut self, run: &[TxPacket<'_>]) {
+        let Some(first) = run.first() else {
+            return;
+        };
+        let Some(ring) = self.route(first.dst.key()) else {
+            self.stats.tx_drop_no_route += run.len() as u64;
+            return;
+        };
+        let sent = ring.push_run(run);
+        self.stats.tx_pkts += sent as u64;
+        self.stats.tx_bytes += run[..sent].iter().map(|p| p.len() as u64).sum::<u64>();
+        self.stats.tx_drop_ring_full += (run.len() - sent) as u64;
     }
 
     /// Drop a cached route (e.g. after the peer was removed). The datapath
@@ -239,24 +277,18 @@ impl Transport for MemTransport {
     }
 
     fn tx_burst(&mut self, pkts: &[TxPacket<'_>]) {
-        let loss = self.fabric.cfg.loss_prob;
-        for p in pkts {
-            debug_assert!(p.len() <= self.fabric.cfg.mtu, "packet exceeds MTU");
-            if loss > 0.0 && self.rng.gen_bool(loss) {
-                self.stats.tx_drop_fault += 1;
-                continue;
-            }
-            let Some(ring) = self.route(p.dst) else {
-                self.stats.tx_drop_no_route += 1;
-                continue;
-            };
-            if ring.push(&[p.hdr, p.data]) {
-                self.stats.tx_pkts += 1;
-                self.stats.tx_bytes += p.len() as u64;
-            } else {
-                self.stats.tx_drop_ring_full += 1;
+        // Split the burst into runs: maximal groups of consecutive packets
+        // to one destination. A packet the sender drops ends the run
+        // before it; nothing is reordered.
+        let mut start = 0;
+        for (i, p) in pkts.iter().enumerate() {
+            let dropped = self.tx_drops(p);
+            if dropped || p.dst != pkts[start].dst {
+                self.tx_run(&pkts[start..i]);
+                start = i + usize::from(dropped);
             }
         }
+        self.tx_run(&pkts[start..]);
     }
 
     fn tx_flush(&mut self) {
@@ -268,28 +300,26 @@ impl Transport for MemTransport {
     }
 
     fn rx_burst(&mut self, max: usize, out: &mut Vec<RxToken>) -> usize {
-        let mut n = 0;
-        while n < max {
-            let Some((pos, len)) = self.rx.try_claim() else {
-                break;
-            };
-            self.claimed.push((pos, len));
-            out.push(RxToken::new(pos, len));
-            self.stats.rx_pkts += 1;
-            self.stats.rx_bytes += len as u64;
-            n += 1;
+        let n = self.rx.claim_run(max, out);
+        let toks = &out[out.len() - n..];
+        if let Some(first) = toks.first() {
+            if self.claimed.1 == 0 {
+                self.claimed.0 = first.slot;
+            }
+            self.claimed.1 += n;
+            self.stats.rx_pkts += n as u64;
+            self.stats.rx_bytes += toks.iter().map(|t| t.len as u64).sum::<u64>();
         }
         n
     }
 
     fn rx_bytes(&self, tok: &RxToken) -> &[u8] {
-        self.rx.claimed_bytes(tok.slot, tok.len)
+        self.rx.claimed_bytes(tok)
     }
 
     fn rx_release(&mut self) {
-        for (pos, _) in self.claimed.drain(..) {
-            self.rx.release(pos);
-        }
+        let (first, count) = std::mem::take(&mut self.claimed);
+        self.rx.release(first, count);
     }
 
     fn stats(&self) -> &TransportStats {
@@ -350,6 +380,124 @@ mod tests {
         }
         assert_eq!(a.stats().tx_pkts, 4);
         assert_eq!(a.stats().tx_drop_ring_full, 6);
+    }
+
+    /// Payloads waiting at `t`, in arrival order.
+    fn drain(t: &mut MemTransport) -> Vec<Vec<u8>> {
+        let mut toks = Vec::new();
+        t.rx_burst(usize::MAX, &mut toks);
+        let got = toks.iter().map(|tok| t.rx_bytes(tok).to_vec()).collect();
+        t.rx_release();
+        got
+    }
+
+    #[test]
+    fn interleaved_burst_keeps_per_destination_order() {
+        // A,A,B,A,A: three runs, nothing reordered within a destination.
+        let f = MemFabric::new(MemFabricConfig::default());
+        let mut s = f.create_transport(Addr::new(0, 0));
+        let mut a = f.create_transport(Addr::new(1, 0));
+        let mut b = f.create_transport(Addr::new(2, 0));
+        let to = |dst: &MemTransport, hdr: &'static [u8], data: &'static [u8]| TxPacket {
+            dst: dst.addr(),
+            hdr,
+            data,
+        };
+        s.tx_burst(&[
+            to(&a, b"a0", b""),
+            to(&a, b"a1", b"+data"),
+            to(&b, b"b0", b""),
+            to(&a, b"a2", b""),
+            to(&a, b"a3", b"!"),
+        ]);
+        assert_eq!(s.stats().tx_pkts, 5);
+        assert_eq!(s.stats().tx_bytes, 2 + 7 + 2 + 2 + 3);
+        assert_eq!(drain(&mut a), [&b"a0"[..], b"a1+data", b"a2", b"a3!"]);
+        assert_eq!(drain(&mut b), [b"b0"]);
+        assert_eq!(a.stats().rx_pkts, 4);
+        assert_eq!(a.stats().rx_bytes, 2 + 7 + 2 + 3);
+    }
+
+    #[test]
+    fn ring_full_mid_run_drops_the_tail() {
+        let f = MemFabric::new(MemFabricConfig {
+            ring_capacity: 4,
+            ..Default::default()
+        });
+        let mut a = f.create_transport(Addr::new(0, 0));
+        let mut b = f.create_transport(Addr::new(1, 0));
+        let bodies: Vec<[u8; 1]> = (0..6u8).map(|i| [i]).collect();
+        let burst: Vec<TxPacket<'_>> = bodies
+            .iter()
+            .map(|body| TxPacket {
+                dst: b.addr(),
+                hdr: body,
+                data: &[],
+            })
+            .collect();
+        a.tx_burst(&burst);
+        assert_eq!(a.stats().tx_pkts, 4, "the prefix that fits is delivered");
+        assert_eq!(a.stats().tx_bytes, 4);
+        assert_eq!(a.stats().tx_drop_ring_full, 2);
+        assert_eq!(drain(&mut b), [[0], [1], [2], [3]]);
+    }
+
+    #[test]
+    fn over_mtu_packets_are_dropped_at_the_sender() {
+        // In release builds too: 1041 B would fit the 1088 B slot and 1089 B
+        // would not; both are over the MTU and neither reaches the ring.
+        let (mut a, mut b) = pair();
+        let mtu = a.mtu();
+        let big = vec![7u8; 1100];
+        let to_b = |hdr, data| TxPacket {
+            dst: Addr::new(1, 0),
+            hdr,
+            data,
+        };
+        a.tx_burst(&[
+            to_b(b"first", &[]),
+            to_b(&big[..16], &big[..mtu - 15]),
+            to_b(&big[..mtu], &[]),
+            to_b(&big, &[]),
+            to_b(b"last", &[]),
+        ]);
+        assert_eq!(a.stats().tx_drop_err, 2);
+        assert_eq!(a.stats().tx_drop_ring_full, 0);
+        assert_eq!(
+            a.stats().tx_pkts,
+            3,
+            "neighbours of a dropped packet go out"
+        );
+        assert_eq!(a.stats().tx_bytes, (5 + mtu + 4) as u64);
+        let got = drain(&mut b);
+        assert_eq!(got.len(), 3);
+        assert_eq!(
+            (&got[0][..], got[1].len(), &got[2][..]),
+            (&b"first"[..], mtu, &b"last"[..])
+        );
+    }
+
+    #[test]
+    fn run_to_a_closed_ring_is_counted_and_re_resolved() {
+        let f = MemFabric::new(MemFabricConfig::default());
+        let mut a = f.create_transport(Addr::new(0, 0));
+        let addr = Addr::new(1, 0);
+        let b = f.create_transport(addr);
+        let run = [TxPacket {
+            dst: addr,
+            hdr: b"x",
+            data: &[],
+        }; 3];
+        a.tx_burst(&run);
+        assert_eq!(a.stats().tx_pkts, 3, "route cached and used");
+        drop(b); // closes the ring between bursts
+        a.tx_burst(&run);
+        assert_eq!(a.stats().tx_pkts, 3);
+        assert_eq!(a.stats().tx_drop_no_route, 3, "the whole run, once each");
+        let mut b2 = f.create_transport(addr);
+        a.tx_burst(&run);
+        assert_eq!(a.stats().tx_pkts, 6, "next run finds the replacement");
+        assert_eq!(drain(&mut b2).len(), 3);
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! * The ring has a fixed number of fixed-size slots — like RX descriptors
 //!   pre-posted to a NIC RQ. A full ring **drops** the incoming packet at the
 //!   producer (the NIC drops when the RQ is empty); producers never block.
+//! * The unit of work is a **run** of packets (§4.3 batching, §4.1.1
+//!   multi-packet RQ descriptors): a producer reserves the slots of a whole
+//!   run with one CAS, the consumer claims a whole burst with one position
+//!   store. A single packet is a run of one, on the same path.
 //! * The consumer *claims* slots and reads payloads **in place** — this is
 //!   the zero-copy request processing path (§4.2.3). Claimed slots are not
 //!   reusable by producers until the consumer *releases* them, which models
@@ -13,36 +17,56 @@
 //! * Multi-producer support uses the Vyukov bounded-MPMC protocol on a
 //!   per-slot sequence number; the single consumer needs no CAS.
 //!
-//! Memory layout: one contiguous arena holds all payload bytes (slot `i`
-//! occupies `arena[i*slot_size .. (i+1)*slot_size]`), with a parallel array
-//! of sequence atomics and payload lengths. Sequence numbers provide the
-//! acquire/release edges that make the payload writes of a producer visible
-//! to the consumer.
+//! Memory layout: one contiguous arena holds all payload bytes (the slot of
+//! position `p` is the `stride` bytes from `(p & mask) * stride`, `stride` a
+//! multiple of 64 and slot 0 on a cache line), beside an array of 16-byte
+//! `SlotMeta` records — sequence number and payload length together, four
+//! slots to a cache line. Sequence numbers provide the acquire/release edges
+//! that make the payload writes of a producer visible to the consumer.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
 use crossbeam::utils::CachePadded;
+
+use crate::pkt::{RxToken, TxPacket};
+
+/// Cache-line size the slot stride and the arena base are aligned to.
+const LINE: usize = 64;
+
+/// Per-slot bookkeeping. Deliberately not padded to a cache line: a run
+/// walks consecutive records, so four slots share a line (DESIGN.md
+/// § "MemFabric" weighs this against sharing across threads).
+struct SlotMeta {
+    /// Vyukov sequence number of the slot, for position `p`: `p` = free,
+    /// `p + 1` = filled, `p + capacity` = released (free for the next lap).
+    seq: AtomicUsize,
+    /// Payload length. `Relaxed` throughout, it publishes nothing: the
+    /// slot's owning producer writes it before the `seq` release-store and
+    /// the consumer reads it after the matching acquire-load.
+    len: AtomicU32,
+}
 
 /// Fixed-capacity MPSC ring of variable-length packets stored in place.
 ///
 /// ```
-/// use erpc_transport::PacketRing;
+/// use erpc_transport::{Addr, PacketRing, TxPacket};
 /// let ring = PacketRing::new(16, 64);
-/// assert!(ring.push(&[b"hdr", b"payload"])); // gather, like a 2-DMA NIC
-/// let (pos, len) = ring.try_claim().unwrap();
-/// assert_eq!(ring.claimed_bytes(pos, len), b"hdrpayload"); // zero-copy read
-/// ring.release(pos); // re-post the descriptor
+/// let pkt = TxPacket { dst: Addr::new(0, 0), hdr: b"hdr", data: b"payload" };
+/// assert_eq!(ring.push_run(&[pkt, pkt]), 2); // gather, like a 2-DMA NIC
+/// let mut toks = Vec::new();
+/// assert_eq!(ring.claim_run(8, &mut toks), 2);
+/// assert_eq!(ring.claimed_bytes(&toks[1]), b"hdrpayload"); // zero-copy read
+/// ring.release(toks[0].slot(), 2); // re-post the descriptors
 /// ```
 pub struct PacketRing {
-    /// Per-slot sequence numbers (Vyukov protocol).
-    seqs: Box<[CachePadded<AtomicUsize>]>,
-    /// Per-slot payload lengths, written by the owning producer before the
-    /// sequence release-store publishes the slot.
-    lens: Box<[UnsafeCell<u32>]>,
-    /// Payload arena.
+    meta: Box<[SlotMeta]>,
+    /// Payload arena, one line longer than the slots so `base` can align it.
     arena: Box<[UnsafeCell<u8>]>,
-    slot_size: usize,
+    /// Offset of slot 0 in `arena` (< 64) that puts it on a cache line.
+    base: usize,
+    /// Bytes per slot, a multiple of 64.
+    stride: usize,
     mask: usize,
     enqueue_pos: CachePadded<AtomicUsize>,
     /// Only the consumer advances this.
@@ -62,43 +86,57 @@ pub struct PacketRing {
 unsafe impl Send for PacketRing {}
 
 // SAFETY: shared access is race-free by the Vyukov slot-ownership
-// protocol. (1) Any thread may call `push` (multi-producer): the
-// `enqueue_pos` CAS gives the winning producer *exclusive* ownership of
-// slot `idx`, so its `UnsafeCell` writes to `arena`/`lens` are
-// unaliased; the subsequent `seqs[idx]` release-store publishes them.
-// (2) Only the single consumer thread may call `try_claim` /
-// `claimed_bytes` / `release` (enforced by the transport wrapper, which
-// never shares the consumer handle): its `seqs[idx]` acquire-load
-// synchronizes with the producer's release-store before it reads the
-// slot, and producers cannot touch a claimed slot again until `release`
-// bumps the sequence by one full lap. (3) `closed` is an independent
+// protocol; every field but `arena` is an atomic or is never written
+// after `new`. (1) Any thread may call `push_run` (multi-producer): the
+// `enqueue_pos` CAS from `pos` to `pos + n` gives the winning producer
+// *exclusive* ownership of the slots of positions `pos .. pos + n` — it
+// saw each of them free (`seq == position`), and a free slot is taken
+// only by moving `enqueue_pos` across its position, which the CAS proves
+// nobody did — so its `arena` writes are unaliased; each slot's `seq`
+// release-store publishes them. (2) Only the single consumer thread may
+// call `claim_run` / `claimed_bytes` / `release` (enforced by the
+// transport wrapper, which never shares the consumer handle): its `seq`
+// acquire-load synchronizes with the producer's release-store before it
+// reads the slot, and producers cannot touch a claimed slot again until
+// `release` bumps the sequence by one full lap (a release-store, paired
+// with the acquire-load in `push_run`). (3) `closed` is an independent
 // monotonic flag with its own release/acquire pair; it gates new pushes
 // only and never transfers data.
 // COVERS: ring_stress (Miri), concurrent_producers_no_loss_no_dup
 unsafe impl Sync for PacketRing {}
 
 impl PacketRing {
-    /// Create a ring with `capacity` slots (rounded up to a power of two) of
-    /// `slot_size` bytes each.
+    /// Create a ring with `capacity` slots (rounded up to a power of two)
+    /// for packets of up to `slot_size` bytes (rounded up to a multiple of
+    /// 64, so every slot starts on a cache line).
     pub fn new(capacity: usize, slot_size: usize) -> Self {
         let cap = capacity.next_power_of_two().max(2);
-        let seqs = (0..cap)
-            .map(|i| CachePadded::new(AtomicUsize::new(i)))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let lens = (0..cap)
-            .map(|_| UnsafeCell::new(0u32))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let arena = (0..cap * slot_size)
-            .map(|_| UnsafeCell::new(0u8))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let stride = slot_size.max(1).next_multiple_of(LINE);
+        let meta = (0..cap)
+            .map(|i| SlotMeta {
+                seq: AtomicUsize::new(i),
+                len: AtomicU32::new(0),
+            })
+            .collect();
+        // Allocated zeroed: a large arena comes straight from the OS and is
+        // faulted in only where packets land.
+        let arena_len = cap
+            .checked_mul(stride)
+            .and_then(|slots| slots.checked_add(LINE))
+            .expect("ring arena size overflows usize");
+        let bytes = vec![0u8; arena_len].into_boxed_slice();
+        // SAFETY: `UnsafeCell<u8>` is `repr(transparent)` over `u8`, so the
+        // slice types share one layout and the allocation is later freed
+        // with the layout it was made with; `bytes` is owned, so no other
+        // reference to it exists.
+        // COVERS: ring unit tests, ring_stress (Miri)
+        let arena = unsafe { Box::from_raw(Box::into_raw(bytes) as *mut [UnsafeCell<u8>]) };
+        let base = (arena.as_ptr() as usize).wrapping_neg() % LINE;
         Self {
-            seqs,
-            lens,
+            meta,
             arena,
-            slot_size,
+            base,
+            stride,
             mask: cap - 1,
             enqueue_pos: CachePadded::new(AtomicUsize::new(0)),
             dequeue_pos: CachePadded::new(AtomicUsize::new(0)),
@@ -113,8 +151,8 @@ impl PacketRing {
         self.closed.store(true, Ordering::Release);
     }
 
-    /// Whether the consumer endpoint has been torn down. One relaxed-ish
-    /// atomic load — cheap enough for the per-packet TX path.
+    /// Whether the consumer endpoint has been torn down. One atomic load,
+    /// which the TX path pays once per run.
     #[inline]
     pub fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
@@ -125,104 +163,136 @@ impl PacketRing {
         self.mask + 1
     }
 
-    /// Maximum payload bytes per packet.
+    /// Maximum payload bytes per packet (the slot stride).
     pub fn slot_size(&self) -> usize {
-        self.slot_size
+        self.stride
     }
 
     #[inline]
-    fn slot_bytes(&self, idx: usize) -> *mut u8 {
-        debug_assert!(idx <= self.mask);
-        self.arena[idx * self.slot_size].get()
+    fn meta(&self, pos: usize) -> &SlotMeta {
+        &self.meta[pos & self.mask]
     }
 
-    /// Producer side: copy the concatenation of `parts` into a free slot.
+    /// First byte of the slot of position `pos`. Derived from the whole
+    /// arena, so the pointer is good for all `stride` bytes of the slot.
+    #[inline]
+    fn slot_bytes(&self, pos: usize) -> *mut u8 {
+        let off = self.base + (pos & self.mask) * self.stride;
+        debug_assert!(off + self.stride <= self.arena.len());
+        UnsafeCell::raw_get(self.arena.as_ptr().wrapping_add(off))
+    }
+
+    /// Producer side: copy a run of packets (`hdr` then `data` of each)
+    /// into consecutive slots reserved with **one** `enqueue_pos` CAS.
     ///
-    /// Returns `false` (packet dropped) if the ring is full or the packet is
-    /// larger than a slot. Safe to call from many threads concurrently.
-    pub fn push(&self, parts: &[&[u8]]) -> bool {
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        if total > self.slot_size {
-            return false;
-        }
+    /// Returns how many were delivered, always a prefix of `pkts`: a full
+    /// ring (the next slot is not released yet) or a packet larger than a
+    /// slot ends the run, and the caller counts the rest as dropped. Safe
+    /// to call from many threads concurrently; the packets of one run land
+    /// at adjacent positions.
+    pub fn push_run(&self, pkts: &[TxPacket<'_>]) -> usize {
         let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            let idx = pos & self.mask;
-            let seq = self.seqs[idx].load(Ordering::Acquire);
-            // `seq == pos`      : slot free for this position — try to claim.
-            // `seq < pos`       : consumer hasn't released the previous lap —
-            //                     the ring is full; drop.
-            // `seq > pos`       : another producer claimed `pos`; reload.
-            match (seq as isize).wrapping_sub(pos as isize) {
-                0 => {
-                    match self.enqueue_pos.compare_exchange_weak(
-                        pos,
-                        pos + 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: the CAS gives this thread exclusive
-                            // ownership of slot `idx` until the release
-                            // store below.
-                            unsafe {
-                                let mut dst = self.slot_bytes(idx);
-                                for p in parts {
-                                    std::ptr::copy_nonoverlapping(p.as_ptr(), dst, p.len());
-                                    dst = dst.add(p.len());
-                                }
-                                *self.lens[idx].get() = total as u32;
-                            }
-                            self.seqs[idx].store(pos + 1, Ordering::Release);
-                            return true;
-                        }
-                        Err(actual) => pos = actual,
-                    }
-                }
-                d if d < 0 => return false,
-                _ => pos = self.enqueue_pos.load(Ordering::Relaxed),
+        let n = loop {
+            // Count free slots from `pos`. A slot's `seq` against its
+            // position `p`: equal — free; behind — the consumer has not
+            // released the previous lap, the ring is full from here;
+            // ahead — another producer already filled `p`.
+            let mut n = 0;
+            while n < pkts.len()
+                && pkts[n].len() <= self.stride
+                && self.meta(pos + n).seq.load(Ordering::Acquire) == pos + n
+            {
+                n += 1;
             }
+            if n == 0 {
+                // Nothing to take at `pos` — unless another producer has
+                // moved on from it since.
+                let actual = self.enqueue_pos.load(Ordering::Relaxed);
+                if actual == pos {
+                    return 0;
+                }
+                pos = actual;
+                continue;
+            }
+            match self.enqueue_pos.compare_exchange_weak(
+                pos,
+                pos + n,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break n,
+                Err(actual) => pos = actual,
+            }
+        };
+        for (k, p) in pkts[..n].iter().enumerate() {
+            let dst = self.slot_bytes(pos + k);
+            // SAFETY: the CAS gave this thread exclusive ownership of the `n`
+            // slots from position `pos` until their release-stores below;
+            // `p.len() <= stride` was checked while counting, so both copies
+            // stay inside the slot, and the sources are live borrows that
+            // cannot overlap memory this thread owns exclusively.
+            // COVERS: ring unit tests, ring_props, ring_stress (Miri)
+            unsafe {
+                std::ptr::copy_nonoverlapping(p.hdr.as_ptr(), dst, p.hdr.len());
+                std::ptr::copy_nonoverlapping(p.data.as_ptr(), dst.add(p.hdr.len()), p.data.len());
+            }
+            let m = self.meta(pos + k);
+            m.len.store(p.len() as u32, Ordering::Relaxed);
+            m.seq.store(pos + k + 1, Ordering::Release);
         }
+        n
     }
 
-    /// Consumer side: claim the next filled slot without releasing it.
-    ///
-    /// Returns the claim position (pass it to [`PacketRing::release`]) and
-    /// the payload length. Must only be called by the single consumer.
-    pub fn try_claim(&self) -> Option<(u64, u32)> {
+    /// Consumer side: claim up to `max` filled slots without releasing
+    /// them, appending one token each to `out` (`slot` is the position to
+    /// pass to [`PacketRing::release`]; positions are consecutive). One
+    /// `dequeue_pos` load and store per call. Must only be called by the
+    /// single consumer.
+    pub fn claim_run(&self, max: usize, out: &mut Vec<RxToken>) -> usize {
         let pos = self.dequeue_pos.load(Ordering::Relaxed);
-        let idx = pos & self.mask;
-        let seq = self.seqs[idx].load(Ordering::Acquire);
-        if seq == pos + 1 {
-            self.dequeue_pos.store(pos + 1, Ordering::Relaxed);
-            // SAFETY: the acquire load above synchronizes with the
-            // producer's release store, making `lens[idx]` and the payload
-            // bytes visible; only this consumer reads them until release.
-            let len = unsafe { *self.lens[idx].get() };
-            Some((pos as u64, len))
-        } else {
-            None
+        let mut n = 0;
+        while n < max {
+            let m = self.meta(pos + n);
+            // Pairs with the producer's release-store: makes `len` and the
+            // payload bytes visible.
+            if m.seq.load(Ordering::Acquire) != pos + n + 1 {
+                break;
+            }
+            out.push(RxToken::new(
+                (pos + n) as u64,
+                m.len.load(Ordering::Relaxed),
+            ));
+            n += 1;
         }
+        self.dequeue_pos.store(pos + n, Ordering::Relaxed);
+        n
     }
 
     /// Borrow the payload of a claimed slot.
     ///
-    /// # Safety contract (enforced by the transport wrapper)
-    /// `pos` must be a claim returned by [`PacketRing::try_claim`] that has
-    /// not yet been released.
-    pub fn claimed_bytes(&self, pos: u64, len: u32) -> &[u8] {
-        let idx = pos as usize & self.mask;
-        debug_assert!(len as usize <= self.slot_size);
-        // SAFETY: per the contract, the slot is claimed by the (single)
-        // consumer, so producers cannot write it concurrently.
-        unsafe { std::slice::from_raw_parts(self.slot_bytes(idx), len as usize) }
+    /// # Contract (enforced by the transport wrapper)
+    /// `tok` must come from [`PacketRing::claim_run`] on this ring and not
+    /// have been released yet.
+    pub fn claimed_bytes(&self, tok: &RxToken) -> &[u8] {
+        let len = tok.len().min(self.stride);
+        // SAFETY: per the contract the slot is claimed by the (single)
+        // consumer, so no producer writes it while the borrow lives; `len`
+        // is clamped to the slot.
+        // COVERS: ring unit tests, ring_props, ring_stress (Miri)
+        unsafe { std::slice::from_raw_parts(self.slot_bytes(tok.slot() as usize), len) }
     }
 
-    /// Consumer side: return a claimed slot to the producers ("re-post the
-    /// RX descriptor"). Slots may be released in any order.
-    pub fn release(&self, pos: u64) {
-        let idx = pos as usize & self.mask;
-        self.seqs[idx].store(pos as usize + self.mask + 1, Ordering::Release);
+    /// Consumer side: return `count` claimed slots from position `first`
+    /// on to the producers ("re-post the RX descriptors"). Ranges may be
+    /// released in any order; a slot released late holds producers up at
+    /// its own position only.
+    pub fn release(&self, first: u64, count: usize) {
+        let first = first as usize;
+        for pos in first..first + count {
+            self.meta(pos)
+                .seq
+                .store(pos + self.mask + 1, Ordering::Release);
+        }
     }
 
     /// Approximate number of filled-but-unclaimed packets (racy; for stats).
@@ -236,57 +306,108 @@ impl PacketRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pkt::Addr;
     use std::sync::Arc;
+
+    fn pkt<'a>(hdr: &'a [u8], data: &'a [u8]) -> TxPacket<'a> {
+        TxPacket {
+            dst: Addr::new(0, 0),
+            hdr,
+            data,
+        }
+    }
+
+    fn push(r: &PacketRing, bytes: &[u8]) -> bool {
+        r.push_run(&[pkt(bytes, &[])]) == 1
+    }
+
+    fn claim(r: &PacketRing) -> Option<RxToken> {
+        let mut out = Vec::new();
+        (r.claim_run(1, &mut out) == 1).then(|| out[0])
+    }
 
     #[test]
     fn push_claim_release_roundtrip() {
         let r = PacketRing::new(4, 64);
-        assert!(r.push(&[b"hello ", b"world"]));
-        let (pos, len) = r.try_claim().unwrap();
-        assert_eq!(r.claimed_bytes(pos, len), b"hello world");
-        r.release(pos);
-        assert!(r.try_claim().is_none());
+        assert_eq!(r.push_run(&[pkt(b"hello ", b"world")]), 1);
+        let tok = claim(&r).unwrap();
+        assert_eq!(r.claimed_bytes(&tok), b"hello world");
+        r.release(tok.slot(), 1);
+        assert!(claim(&r).is_none());
     }
 
     #[test]
     fn full_ring_drops_at_producer() {
         let r = PacketRing::new(2, 16);
-        assert!(r.push(&[b"a"]));
-        assert!(r.push(&[b"b"]));
-        assert!(!r.push(&[b"c"]), "full ring must drop");
+        assert!(push(&r, b"a"));
+        assert!(push(&r, b"b"));
+        assert!(!push(&r, b"c"), "full ring must drop");
         // Claim but do NOT release: slot still unavailable to producers.
-        let (pos, _) = r.try_claim().unwrap();
-        assert!(!r.push(&[b"d"]), "claimed-but-unreleased slot is not free");
-        r.release(pos);
-        assert!(r.push(&[b"e"]), "released slot is reusable");
+        let tok = claim(&r).unwrap();
+        assert!(!push(&r, b"d"), "claimed-but-unreleased slot is not free");
+        r.release(tok.slot(), 1);
+        assert!(push(&r, b"e"), "released slot is reusable");
     }
 
     #[test]
-    fn oversized_packet_rejected() {
-        let r = PacketRing::new(4, 8);
-        assert!(!r.push(&[&[0u8; 9]]));
-        assert!(r.push(&[&[0u8; 8]]));
+    fn oversized_packet_ends_the_run() {
+        let r = PacketRing::new(4, 64);
+        assert_eq!(r.slot_size(), 64);
+        let (fits, big) = ([1u8; 64], [2u8; 65]);
+        assert_eq!(r.push_run(&[pkt(&big, &[])]), 0);
+        assert_eq!(r.push_run(&[pkt(&fits[..60], &big[..5])]), 0, "hdr + data");
+        assert_eq!(r.push_run(&[pkt(&fits, &[]), pkt(&big, &[])]), 1);
+        assert_eq!(r.len_approx(), 1, "only the prefix took a slot");
+    }
+
+    #[test]
+    fn slot_size_rounds_up_to_cache_lines() {
+        for (asked, stride) in [(0, 64), (1, 64), (64, 64), (65, 128), (1040, 1088)] {
+            let r = PacketRing::new(2, asked);
+            assert_eq!(r.slot_size(), stride);
+            assert_eq!(r.slot_bytes(0) as usize % LINE, 0);
+            assert_eq!(r.slot_bytes(1) as usize - r.slot_bytes(0) as usize, stride);
+        }
+    }
+
+    #[test]
+    fn run_wraps_and_stops_at_a_full_ring() {
+        let r = PacketRing::new(4, 16);
+        let bodies: Vec<[u8; 1]> = (0..8u8).map(|i| [i]).collect();
+        let pkts: Vec<TxPacket<'_>> = bodies.iter().map(|b| pkt(b, &[])).collect();
+        assert_eq!(r.push_run(&pkts[..3]), 3);
+        let mut toks = Vec::new();
+        assert_eq!(r.claim_run(2, &mut toks), 2);
+        r.release(toks[0].slot(), 2);
+        // Positions 3, then 4 and 5 on the next lap; slot 2 is unclaimed.
+        assert_eq!(r.push_run(&pkts[3..8]), 3, "prefix up to the full slot");
+        toks.clear();
+        assert_eq!(r.claim_run(8, &mut toks), 4);
+        let seen: Vec<u8> = toks.iter().map(|t| r.claimed_bytes(t)[0]).collect();
+        assert_eq!(seen, vec![2, 3, 4, 5]);
+        assert_eq!(toks[0].slot(), 2, "claims are consecutive positions");
+        assert_eq!(toks[3].slot(), 5);
     }
 
     #[test]
     fn out_of_order_release() {
         let r = PacketRing::new(4, 8);
         for i in 0..4u8 {
-            assert!(r.push(&[&[i]]));
+            assert!(push(&r, &[i]));
         }
-        let a = r.try_claim().unwrap();
-        let b = r.try_claim().unwrap();
-        // Release the second claim first.
-        r.release(b.0);
-        r.release(a.0);
-        // Both slots reusable; two more pushes must succeed.
-        assert!(r.push(&[&[9]]));
-        assert!(r.push(&[&[10]]));
+        let a = claim(&r).unwrap();
+        let b = claim(&r).unwrap();
+        // Release the second claim first: the hole at `a` blocks the run.
+        r.release(b.slot(), 1);
+        assert!(!push(&r, &[8]), "position 4 waits for slot 0");
+        r.release(a.slot(), 1);
+        // Both slots reusable; a run of two must succeed.
+        assert_eq!(r.push_run(&[pkt(&[9], &[]), pkt(&[10], &[])]), 2);
         // Drain the remaining four packets in FIFO order.
         let mut seen = Vec::new();
-        while let Some((pos, len)) = r.try_claim() {
-            seen.push(r.claimed_bytes(pos, len)[0]);
-            r.release(pos);
+        while let Some(tok) = claim(&r) {
+            seen.push(r.claimed_bytes(&tok)[0]);
+            r.release(tok.slot(), 1);
         }
         assert_eq!(seen, vec![2, 3, 9, 10]);
     }
@@ -295,12 +416,12 @@ mod tests {
     fn fifo_order_single_producer() {
         let r = PacketRing::new(8, 16);
         for i in 0..8u32 {
-            assert!(r.push(&[&i.to_le_bytes()]));
+            assert!(push(&r, &i.to_le_bytes()));
         }
         for i in 0..8u32 {
-            let (pos, len) = r.try_claim().unwrap();
-            assert_eq!(r.claimed_bytes(pos, len), i.to_le_bytes());
-            r.release(pos);
+            let tok = claim(&r).unwrap();
+            assert_eq!(r.claimed_bytes(&tok), i.to_le_bytes());
+            r.release(tok.slot(), 1);
         }
     }
 
@@ -317,7 +438,7 @@ mod tests {
                 let mut sent = 0u64;
                 for i in 0..PER_PRODUCER {
                     let v = ((p as u64) << 32) | i as u64;
-                    while !r.push(&[&v.to_le_bytes()]) {
+                    while !push(&r, &v.to_le_bytes()) {
                         // Yield instead of spinning so Miri's scheduler
                         // always lets the consumer make progress.
                         std::thread::yield_now();
@@ -329,16 +450,20 @@ mod tests {
         }
         let mut seen = vec![Vec::new(); PRODUCERS];
         let mut total = 0usize;
+        let mut toks = Vec::new();
         while total < PRODUCERS * PER_PRODUCER {
-            if let Some((pos, len)) = r.try_claim() {
-                let b = r.claimed_bytes(pos, len);
-                let v = u64::from_le_bytes(b.try_into().unwrap());
-                seen[(v >> 32) as usize].push(v & 0xFFFF_FFFF);
-                r.release(pos);
-                total += 1;
-            } else {
+            toks.clear();
+            let n = r.claim_run(32, &mut toks);
+            if n == 0 {
                 std::thread::yield_now();
+                continue;
             }
+            for tok in &toks {
+                let v = u64::from_le_bytes(r.claimed_bytes(tok).try_into().unwrap());
+                seen[(v >> 32) as usize].push(v & 0xFFFF_FFFF);
+            }
+            r.release(toks[0].slot(), n);
+            total += n;
         }
         for h in handles {
             assert_eq!(h.join().unwrap(), PER_PRODUCER as u64);

@@ -1,20 +1,37 @@
-//! Deterministic two-thread stress of the `PacketRing` SPSC hand-off,
+//! Deterministic multi-thread stress of the `PacketRing` hand-off,
 //! written to run under Miri (CI: `cargo +nightly miri test -p
 //! erpc-transport --test ring_stress`): short schedules under
 //! `cfg!(miri)`, `yield_now` instead of spin loops so the interpreter's
 //! scheduler always lets the peer make progress, no FFI, no clocks, no
 //! randomness. These tests exercise exactly the ownership protocol the
-//! `unsafe impl Send/Sync for PacketRing` comments claim: one producer
-//! thread pushing, one consumer thread claiming/reading/releasing.
+//! `unsafe impl Send/Sync for PacketRing` comments claim: producer
+//! threads pushing runs, one consumer thread claiming/reading/releasing.
 
 use std::sync::Arc;
 use std::thread;
 
-use erpc_transport::PacketRing;
+use erpc_transport::{Addr, PacketRing, RxToken, TxPacket};
 
 /// Miri interprets every memory access; keep its schedule short but
 /// still long enough to lap a small ring many times.
 const PACKETS: usize = if cfg!(miri) { 300 } else { 50_000 };
+
+fn pkt<'a>(hdr: &'a [u8], data: &'a [u8]) -> TxPacket<'a> {
+    TxPacket {
+        dst: Addr::new(0, 0),
+        hdr,
+        data,
+    }
+}
+
+fn push(ring: &PacketRing, bytes: &[u8]) -> bool {
+    ring.push_run(&[pkt(bytes, &[])]) == 1
+}
+
+fn claim(ring: &PacketRing) -> Option<RxToken> {
+    let mut out = Vec::new();
+    (ring.claim_run(1, &mut out) == 1).then(|| out[0])
+}
 
 /// Deterministic variable-length payload for packet `i`: length cycles
 /// 1..=13, bytes are a function of (i, offset) so torn or misattributed
@@ -41,7 +58,7 @@ fn two_thread_fifo_exact_bytes() {
                 // Split the payload so the gather path (multi-part copy
                 // into one slot) is exercised too.
                 let mid = p.len() / 2;
-                while !ring.push(&[&p[..mid], &p[mid..]]) {
+                while ring.push_run(&[pkt(&p[..mid], &p[mid..])]) == 0 {
                     thread::yield_now();
                 }
             }
@@ -49,20 +66,20 @@ fn two_thread_fifo_exact_bytes() {
     };
     let mut next = 0usize;
     while next < PACKETS {
-        let Some((pos, len)) = ring.try_claim() else {
+        let Some(tok) = claim(&ring) else {
             thread::yield_now();
             continue;
         };
         assert_eq!(
-            ring.claimed_bytes(pos, len),
+            ring.claimed_bytes(&tok),
             payload(next).as_slice(),
             "packet {next} torn or out of order"
         );
-        ring.release(pos);
+        ring.release(tok.slot(), 1);
         next += 1;
     }
     producer.join().unwrap();
-    assert!(ring.try_claim().is_none(), "ring must drain empty");
+    assert!(claim(&ring).is_none(), "ring must drain empty");
 }
 
 /// Consumer holds claims (in-place zero-copy reads, §4.2.3) while the
@@ -78,7 +95,7 @@ fn held_claims_survive_producer_churn() {
         thread::spawn(move || {
             for i in 0..rounds * 3 {
                 let p = payload(i);
-                while !ring.push(&[&p]) {
+                while !push(&ring, &p) {
                     thread::yield_now();
                 }
             }
@@ -90,19 +107,93 @@ fn held_claims_survive_producer_churn() {
         // (2, 0, 1) so release order ≠ claim order on every round.
         let mut held = Vec::with_capacity(3);
         while held.len() < 3 {
-            match ring.try_claim() {
-                Some(claim) => held.push(claim),
+            match claim(&ring) {
+                Some(tok) => held.push(tok),
                 None => thread::yield_now(),
             }
         }
         for &k in &[2usize, 0, 1] {
-            let (pos, len) = held[k];
-            assert_eq!(ring.claimed_bytes(pos, len), payload(next + k).as_slice());
-            ring.release(pos);
+            assert_eq!(ring.claimed_bytes(&held[k]), payload(next + k).as_slice());
+            ring.release(held[k].slot(), 1);
         }
         next += 3;
     }
     producer.join().unwrap();
+}
+
+/// Several producers push *runs* of varying length into a ring smaller
+/// than a lap of their traffic while the consumer claims bursts: nothing
+/// is lost or duplicated, each producer's packets arrive in its order,
+/// and every accepted run — a prefix of what was offered, when the ring
+/// was nearly full — sits at adjacent positions (one reservation).
+#[test]
+fn concurrent_run_producers() {
+    const PRODUCERS: usize = 3;
+    let per_producer = if cfg!(miri) { 60 } else { 20_000 };
+    let ring = Arc::new(PacketRing::new(16, 16));
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|p| {
+            let ring = Arc::clone(&ring);
+            thread::spawn(move || {
+                let bodies: Vec<[u8; 8]> = (0..per_producer)
+                    .map(|i| (((p as u64) << 32) | i as u64).to_le_bytes())
+                    .collect();
+                // (first packet, length) of every run the ring accepted.
+                let mut runs = Vec::new();
+                let mut sent = 0;
+                while sent < per_producer {
+                    let want = (1 + (sent + p) % 5).min(per_producer - sent);
+                    let run: Vec<TxPacket<'_>> = bodies[sent..sent + want]
+                        .iter()
+                        .map(|b| pkt(&b[..3], &b[3..]))
+                        .collect();
+                    let took = ring.push_run(&run);
+                    assert!(took <= want);
+                    if took == 0 {
+                        thread::yield_now();
+                        continue;
+                    }
+                    runs.push((sent, took));
+                    sent += took;
+                }
+                runs
+            })
+        })
+        .collect();
+    // Ring position at which packet `i` of producer `p` arrived.
+    let mut arrived = vec![Vec::new(); PRODUCERS];
+    let mut toks = Vec::new();
+    let mut total = 0;
+    while total < PRODUCERS * per_producer {
+        toks.clear();
+        let n = ring.claim_run(5, &mut toks);
+        if n == 0 {
+            thread::yield_now();
+            continue;
+        }
+        for tok in &toks {
+            let v = u64::from_le_bytes(ring.claimed_bytes(tok).try_into().unwrap());
+            let (p, i) = ((v >> 32) as usize, (v & 0xFFFF_FFFF) as usize);
+            assert_eq!(
+                i,
+                arrived[p].len(),
+                "producer {p}: lost, repeated or reordered"
+            );
+            arrived[p].push(tok.slot());
+        }
+        ring.release(toks[0].slot(), n);
+        total += n;
+    }
+    for (p, h) in producers.into_iter().enumerate() {
+        for (first, len) in h.join().unwrap() {
+            let at = &arrived[p][first..first + len];
+            assert!(
+                at.windows(2).all(|w| w[1] == w[0] + 1),
+                "producer {p}: run of {len} from packet {first} scattered over {at:?}"
+            );
+        }
+    }
+    assert!(claim(&ring).is_none(), "ring must drain empty");
 }
 
 /// `close()` must become visible to a producer on another thread, and a
@@ -119,7 +210,7 @@ fn close_is_visible_across_threads() {
                 if ring.is_closed() {
                     return accepted;
                 }
-                if ring.push(&[b"x"]) {
+                if push(&ring, b"x") {
                     accepted += 1;
                 } else {
                     thread::yield_now();
@@ -130,8 +221,8 @@ fn close_is_visible_across_threads() {
     // Drain a few packets, then tear the consumer down.
     let mut drained = 0u64;
     while drained < 16 {
-        if let Some((pos, _)) = ring.try_claim() {
-            ring.release(pos);
+        if let Some(tok) = claim(&ring) {
+            ring.release(tok.slot(), 1);
             drained += 1;
         } else {
             thread::yield_now();
@@ -141,8 +232,8 @@ fn close_is_visible_across_threads() {
     let accepted = producer.join().unwrap();
     // Everything the producer got a `true` for is either already drained
     // or still sitting in the ring — a closed ring loses nothing.
-    while let Some((pos, _)) = ring.try_claim() {
-        ring.release(pos);
+    while let Some(tok) = claim(&ring) {
+        ring.release(tok.slot(), 1);
         drained += 1;
     }
     assert_eq!(drained, accepted);

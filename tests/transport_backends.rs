@@ -2,7 +2,8 @@
 //! satellite 1): the same symmetric fig4-style request/response body runs
 //! over `UdpTransport` (all three rungs of its batching ladder) and, where
 //! the runtime probe succeeds, over `IoUringTransport` with and without
-//! SQPOLL.
+//! SQPOLL. The in-process `MemTransport` is driven at the `Transport`
+//! trait the way `crates/core` calls it (bottom of the file).
 //!
 //! The io_uring rows are *skip-with-log*, never fail: on a kernel or
 //! seccomp profile that can't grant rings, `run_udp_symmetric` prints the
@@ -10,6 +11,7 @@
 //! test records the skip instead of asserting.
 
 use erpc_bench::udp_cluster::{run_udp_symmetric, UdpBackend, UdpSymmetricOpts};
+use erpc_transport::{Addr, MemFabric, MemFabricConfig, MemTransport, Transport, TxPacket};
 
 /// One shared body per backend: short warmup + measure windows, then the
 /// invariants every working backend must satisfy on loopback.
@@ -127,4 +129,110 @@ fn uring_backend_loopback_or_skip() {
 #[test]
 fn uring_sqpoll_backend_loopback_or_skip() {
     let _ran = check_backend(UdpBackend::Uring { sqpoll: true });
+}
+
+// ── MemTransport under core's calling pattern ──────────────────────────
+//
+// `Rpc::process_rx` polls `rx_burst(rx_batch)`; on 0 it returns *without*
+// `rx_release`; otherwise it reads every token in place, then calls
+// `rx_release` once. The ring behind `MemTransport` claims and releases
+// by range, so these pin what that pattern relies on.
+
+/// A sender and a receiver on a fabric of `ring` RX descriptors.
+fn mem_pair(ring: usize) -> (MemTransport, MemTransport) {
+    let fabric = MemFabric::new(MemFabricConfig {
+        ring_capacity: ring,
+        ..MemFabricConfig::default()
+    });
+    (
+        fabric.create_transport(Addr::new(0, 0)),
+        fabric.create_transport(Addr::new(1, 0)),
+    )
+}
+
+/// Send packets numbered `ids` to `to` in one burst; how many it took.
+fn mem_send(from: &mut MemTransport, to: Addr, ids: std::ops::Range<u8>) -> u64 {
+    let bodies: Vec<[u8; 1]> = ids.map(|i| [i]).collect();
+    let burst: Vec<TxPacket<'_>> = bodies
+        .iter()
+        .map(|b| TxPacket {
+            dst: to,
+            hdr: b,
+            data: b"-body",
+        })
+        .collect();
+    let before = from.stats().tx_pkts;
+    from.tx_burst(&burst);
+    from.stats().tx_pkts - before
+}
+
+#[test]
+fn mem_empty_rx_burst_needs_no_release() {
+    let (mut a, mut b) = mem_pair(8);
+    let mut toks = Vec::new();
+    // Idle polls, never followed by rx_release, must not disturb what a
+    // later burst claims and releases.
+    for round in 0..3u8 {
+        for _ in 0..4 {
+            assert_eq!(b.rx_burst(32, &mut toks), 0);
+        }
+        assert_eq!(mem_send(&mut a, b.addr(), 8 * round..8 * round + 8), 8);
+        assert_eq!(b.rx_burst(32, &mut toks), 8);
+        for (i, tok) in toks.iter().enumerate() {
+            assert_eq!(b.rx_bytes(tok)[0], 8 * round + i as u8);
+        }
+        toks.clear();
+        b.rx_release();
+    }
+    assert_eq!(
+        a.stats().tx_drop_ring_full,
+        0,
+        "every lap found its slots released"
+    );
+    assert_eq!(b.stats().rx_pkts, 24);
+}
+
+#[test]
+fn mem_burst_larger_than_max_carries_over() {
+    let (mut a, mut b) = mem_pair(16);
+    assert_eq!(mem_send(&mut a, b.addr(), 0..10), 10);
+    let mut toks = Vec::new();
+    assert_eq!(b.rx_burst(4, &mut toks), 4);
+    // A second claim before any release appends behind the first...
+    assert_eq!(b.rx_burst(4, &mut toks), 4);
+    let seen: Vec<u8> = toks.iter().map(|t| b.rx_bytes(t)[0]).collect();
+    assert_eq!(seen, (0..8).collect::<Vec<u8>>());
+    toks.clear();
+    b.rx_release();
+    // ...and the rest surfaces after it, in order.
+    assert_eq!(b.rx_burst(4, &mut toks), 2);
+    assert_eq!(b.rx_bytes(&toks[0]), b"\x08-body");
+    assert_eq!(b.rx_bytes(&toks[1]), b"\x09-body");
+    b.rx_release();
+    assert_eq!(b.stats().rx_bytes, 10 * 6);
+}
+
+#[test]
+fn mem_tokens_stay_readable_until_release_then_slots_are_reusable() {
+    let (mut a, mut b) = mem_pair(4);
+    assert_eq!(mem_send(&mut a, b.addr(), 0..6), 4, "ring of 4 takes 4");
+    assert_eq!(a.stats().tx_drop_ring_full, 2);
+    let mut toks = Vec::new();
+    assert_eq!(b.rx_burst(3, &mut toks), 3);
+    // Claimed is not released: the sender still finds the ring full, and
+    // what it tried to write did not touch the claimed packets.
+    assert_eq!(mem_send(&mut a, b.addr(), 10..13), 0);
+    for (i, tok) in toks.iter().enumerate() {
+        assert_eq!(b.rx_bytes(tok), [i as u8, b'-', b'b', b'o', b'd', b'y']);
+    }
+    toks.clear();
+    b.rx_release();
+    // Exactly the three released slots take new packets, behind packet 3.
+    assert_eq!(mem_send(&mut a, b.addr(), 20..26), 3);
+    assert_eq!(b.rx_burst(8, &mut toks), 4);
+    let seen: Vec<u8> = toks.iter().map(|t| b.rx_bytes(t)[0]).collect();
+    assert_eq!(seen, [3, 20, 21, 22]);
+    b.rx_release();
+    assert_eq!(a.stats().tx_pkts, 7);
+    assert_eq!(a.stats().tx_drop_ring_full, 2 + 3 + 3);
 }
