@@ -17,12 +17,13 @@
 //! baseline 4.96 → 5.44 Mrps (9 % total overhead).
 //!
 //! Our table adds one factor the paper names in §4.3 but does not ablate
-//! in Table 3: **transmit batching** (`opt_tx_batching`) — the deferred TX
-//! queue that coalesces every packet queued in an event-loop pass into one
-//! `tx_burst` doorbell. Disabling it reverts to one burst per packet. It
-//! is reported as a *standalone* ablation against the baseline (last row),
-//! not folded into the cumulative ladder, so the paper rows stay measured
-//! under the paper's own configuration.
+//! in Table 3: **transmit batching** — the deferred TX queue that
+//! coalesces every packet queued in an event-loop pass into one `tx_burst`
+//! doorbell. `tx_batch: 1` reverts to one burst per packet. It is reported
+//! as a *standalone* ablation against the baseline, not folded into the
+//! cumulative ladder, so the paper rows stay measured under the paper's
+//! own configuration. (The "header templates off" row went with its knob;
+//! CHANGES.md, ISSUE 23, keeps its last measured value.)
 //!
 //! Mode: wall-clock threads; each flag removes/adds *real* work (clock
 //! reads, FP updates, pacing-wheel traffic, descriptor writes, allocator
@@ -107,14 +108,7 @@ pub fn run() -> String {
     // so folding it into the ladder would measure every paper row under a
     // configuration the paper numbers were not taken in.
     let tx_batching_off = measure(RpcConfig {
-        opt_tx_batching: false,
-        ..base_cfg()
-    });
-    // Header templates + zero-decode RX + fast-path dispatch (§5.2's
-    // common-case packet path), also ablated alone against the baseline:
-    // like transmit batching, the paper's Table 3 has no such row.
-    let hdr_template_off = measure(RpcConfig {
-        opt_hdr_template: false,
+        tx_batch: 1,
         ..base_cfg()
     });
     // Adaptive RTO (robustness PR), ablated alone: with no injected loss
@@ -167,16 +161,9 @@ pub fn run() -> String {
     let bottom = rows.last().unwrap().1;
     // Standalone (non-cumulative) factor: loss is relative to the baseline.
     t.row(&[
-        "disable transmit batching (alone)".to_string(),
+        "disable transmit batching (tx_batch = 1, alone)".to_string(),
         mrps(tx_batching_off),
         format!("{:.1} %", (base - tx_batching_off) / base * 100.0),
-        "–".to_string(),
-        "–".to_string(),
-    ]);
-    t.row(&[
-        "disable header templates + fast path (alone)".to_string(),
-        mrps(hdr_template_off),
-        format!("{:.1} %", (base - hdr_template_off) / base * 100.0),
         "–".to_string(),
         "–".to_string(),
     ]);

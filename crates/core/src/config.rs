@@ -21,9 +21,11 @@ pub enum CcAlgorithm {
 pub struct RpcConfig {
     /// Session credits `C`: max in-flight packets per session (§4.3.1).
     /// The evaluation uses 32 (§6.4); latency-sensitive apps may use less.
+    /// At least 1 (`Rpc::new` rejects 0).
     pub session_credits: u32,
     /// Concurrent request slots per session (§4.3: constant, default 8).
-    /// Additional requests are transparently queued.
+    /// Additional requests are transparently queued. 1..=255: the slot
+    /// index travels as a `u8` (`Rpc::new` rejects anything else).
     pub slots_per_session: usize,
     /// Per-session backlog bound for transparently queued requests.
     pub backlog_cap: usize,
@@ -59,20 +61,6 @@ pub struct RpcConfig {
     /// §4.1.1 / App. A: multi-packet RQ descriptors — re-post one
     /// 512-packet descriptor instead of one descriptor per packet.
     pub opt_multi_packet_rq: bool,
-    /// §4.3 / Table 3 ("transmit batching"): defer every outgoing packet
-    /// into a per-event-loop-pass queue and hand the whole batch to
-    /// `Transport::tx_burst` at once — one DMA doorbell per burst instead
-    /// of one per packet. When off, each packet is burst individually.
-    pub opt_tx_batching: bool,
-    /// §5.2's common-case packet path: encode each message's wire headers
-    /// *once* at enqueue/install time (template write into the msgbuf's
-    /// inline header room, per-packet bytes patched with direct pokes),
-    /// dispatch received data packets through a zero-decode
-    /// [`crate::pkthdr::PktHdrView`], and take the branch-lean fast path
-    /// for in-order single-packet requests/responses. When off, every
-    /// packet pays the fully general construct-encode/decode-dispatch
-    /// cost on both directions.
-    pub opt_hdr_template: bool,
     /// Adaptive retransmission timeout: per-session SRTT/RTTVAR (Jacobson,
     /// RFC 6298) fed by the same RTT samples Timely consumes, Karn's rule
     /// across go-back-N rollbacks (no samples from retransmitted windows),
@@ -82,12 +70,13 @@ pub struct RpcConfig {
     pub opt_adaptive_rto: bool,
 
     // ── Event loop tuning ───────────────────────────────────────────────
-    /// Max packets per RX burst.
+    /// Max packets per RX burst (at least 1).
     pub rx_batch: usize,
-    /// Max descriptors in the deferred TX queue before the event loop
-    /// flushes mid-pass (with `opt_tx_batching`). The queue also always
+    /// Max descriptors in the deferred TX queue (§4.3 transmit batching)
+    /// before the event loop flushes mid-pass. The queue also always
     /// flushes at the end of every event-loop pass, so this bounds batch
-    /// *size*, not latency.
+    /// *size*, not latency. At least 1; 1 = one `tx_burst` doorbell per
+    /// packet (the "transmit batching off" ablation).
     pub tx_batch: usize,
     /// Timing-wheel slot count and width.
     pub wheel_slots: usize,
@@ -143,8 +132,6 @@ impl Default for RpcConfig {
             opt_preallocated_responses: true,
             opt_zero_copy_rx: true,
             opt_multi_packet_rq: true,
-            opt_tx_batching: true,
-            opt_hdr_template: true,
             opt_adaptive_rto: true,
             rx_batch: 32,
             tx_batch: 32,
@@ -183,8 +170,6 @@ impl RpcConfig {
         self.opt_preallocated_responses = false;
         self.opt_zero_copy_rx = false;
         self.opt_multi_packet_rq = false;
-        self.opt_tx_batching = false;
-        self.opt_hdr_template = false;
         self.opt_adaptive_rto = false;
         self
     }
@@ -230,8 +215,6 @@ mod tests {
         assert!(!c.opt_preallocated_responses);
         assert!(!c.opt_zero_copy_rx);
         assert!(!c.opt_multi_packet_rq);
-        assert!(!c.opt_tx_batching);
-        assert!(!c.opt_hdr_template);
         assert!(!c.opt_adaptive_rto);
     }
 }

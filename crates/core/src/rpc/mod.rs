@@ -61,7 +61,7 @@ use crate::session::{PendingReq, Role, Session, SessionHandle, SessionState, Slo
 use crate::stats::RpcStats;
 use crate::worker::{WorkDone, WorkerFn, WorkerHandle};
 
-use tx::{TxDesc, TxResolved, WheelEntry};
+use tx::{ClientSeq, TxDesc, TxResolved};
 
 /// Dispatch-mode request handler: runs inside the event loop on the
 /// dispatch thread (§3.2). For single-packet requests the payload slice
@@ -183,7 +183,31 @@ pub struct ReqContext<'a> {
     max_msg_size: usize,
 }
 
+/// The §4.3 response-buffer choice, made in exactly one place: the slot's
+/// preallocated msgbuf when `opt_preallocated_responses` is on and `cap`
+/// bytes fit it (no allocator traffic), else a pooled buffer — with an
+/// unsuitable prealloc left in place for future requests. The `bool` says
+/// which, so slot reuse knows where the buffer goes back.
+fn take_resp_buf(
+    prealloc: &mut Option<MsgBuf>,
+    enabled: bool,
+    pool: &mut BufPool,
+    cap: usize,
+) -> (MsgBuf, bool) {
+    match prealloc.take() {
+        Some(p) if enabled && cap <= p.capacity() => (p, true),
+        other => {
+            *prealloc = other;
+            (pool.alloc(cap), false)
+        }
+    }
+}
+
 impl ReqContext<'_> {
+    fn take_resp_buf(&mut self, cap: usize) -> (MsgBuf, bool) {
+        take_resp_buf(&mut self.prealloc, self.prealloc_enabled, self.pool, cap)
+    }
+
     /// Enqueue the response for this request. The common case: small
     /// responses are served from the slot's preallocated msgbuf with no
     /// allocator traffic (§4.3).
@@ -191,14 +215,7 @@ impl ReqContext<'_> {
         assert!(!self.deferred, "respond() after defer()");
         assert!(self.resp_built.is_none(), "respond() called twice");
         assert!(data.len() <= self.max_msg_size, "response exceeds max size");
-        let (mut buf, is_prealloc) = match self.prealloc.take() {
-            Some(p) if self.prealloc_enabled && data.len() <= p.capacity() => (p, true),
-            other => {
-                // Put an unsuitable prealloc back for future requests.
-                self.prealloc = other;
-                (self.pool.alloc(data.len()), false)
-            }
-        };
+        let (mut buf, is_prealloc) = self.take_resp_buf(data.len());
         buf.fill(data);
         self.resp_built = Some((buf, is_prealloc));
     }
@@ -221,13 +238,7 @@ impl ReqContext<'_> {
         assert!(!self.deferred, "respond_typed() after defer()");
         assert!(self.resp_built.is_none(), "respond() called twice");
         let cap = m.encoded_len_hint().min(self.max_msg_size);
-        let (mut buf, is_prealloc) = match self.prealloc.take() {
-            Some(p) if self.prealloc_enabled && cap <= p.capacity() => (p, true),
-            other => {
-                self.prealloc = other;
-                (self.pool.alloc(cap), false)
-            }
-        };
+        let (mut buf, is_prealloc) = self.take_resp_buf(cap);
         buf.resize(cap);
         let n = {
             let mut sink = erpc_transport::codec::SliceSink::new(buf.data_mut());
@@ -392,8 +403,8 @@ pub struct Rpc<T: Transport> {
     /// (peer key, peer's client session num) → local server session num.
     connect_map: HashMap<(u32, u16), u16>,
     handlers: Vec<HandlerEntry>,
-    wheel: TimingWheel<WheelEntry>,
-    wheel_scratch: Vec<WheelEntry>,
+    wheel: TimingWheel<ClientSeq>,
+    wheel_scratch: Vec<ClientSeq>,
     /// Deferred TX queue: drained into one `tx_burst` per event-loop pass
     /// (or when it reaches `cfg.tx_batch`).
     tx_queue: Vec<TxDesc>,
@@ -454,6 +465,17 @@ impl<T: Transport> Rpc<T> {
         cfg: RpcConfig,
         worker: Option<WorkerHandle>,
     ) -> Self {
+        assert!(
+            cfg.session_credits >= 1,
+            "RpcConfig::session_credits must be >= 1"
+        );
+        // The slot index travels as a `u8` (descriptors, `ConnectReq`).
+        assert!(
+            (1..=255).contains(&cfg.slots_per_session),
+            "RpcConfig::slots_per_session must be in 1..=255"
+        );
+        assert!(cfg.rx_batch >= 1, "RpcConfig::rx_batch must be >= 1");
+        assert!(cfg.tx_batch >= 1, "RpcConfig::tx_batch must be >= 1");
         let dpp = transport.mtu() - PKT_HDR_SIZE;
         assert!(dpp > 0, "transport MTU too small for the packet header");
         let now = transport.now_ns();
@@ -631,7 +653,7 @@ impl<T: Transport> Rpc<T> {
             self.handlers[req_type as usize] = HandlerEntry::Worker;
         } else {
             let g = f;
-            let cap = self.worker_resp_cap();
+            let cap = Self::worker_resp_cap(&self.cfg);
             self.handlers[req_type as usize] =
                 HandlerEntry::Dispatch(Box::new(move |ctx: &mut ReqContext<'_>, req: &[u8]| {
                     // Degraded inline mode still speaks msgbufs: the
@@ -654,11 +676,8 @@ impl<T: Transport> Rpc<T> {
     }
 
     /// Capacity of the pooled response buffer handed to worker handlers.
-    fn worker_resp_cap(&self) -> usize {
-        self.cfg
-            .worker_resp_capacity
-            .min(self.cfg.max_msg_size)
-            .max(1)
+    fn worker_resp_cap(cfg: &RpcConfig) -> usize {
+        cfg.worker_resp_capacity.min(cfg.max_msg_size).max(1)
     }
 
     // ── Sessions ────────────────────────────────────────────────────────
@@ -831,51 +850,29 @@ impl<T: Transport> Rpc<T> {
             cont,
             enqueue_ns,
         });
-        let idx = h.0;
-        if self.sessions[idx as usize].as_ref().unwrap().state == SessionState::Connected {
-            self.pump_session(idx);
+        if sess.state == SessionState::Connected {
+            self.pump_session(h.0);
         }
         Ok(())
     }
 
     /// Enqueue the response for a previously deferred request (§3.1's
     /// nested-RPC flow). Call between event-loop iterations or from a
-    /// continuation via [`ContContext::enqueue_response`].
+    /// continuation via [`ContContext::enqueue_response`]. The bytes are
+    /// copied into the slot's preallocated msgbuf when they fit (§4.3).
     pub fn enqueue_response(
         &mut self,
         handle: DeferredHandle,
         data: &[u8],
     ) -> Result<(), RpcError> {
-        let Some(sess) = self
-            .sessions
-            .get_mut(handle.sess as usize)
-            .and_then(|s| s.as_mut())
-        else {
+        let Some((_, slot)) = Self::awaiting_response(&mut self.sessions, handle) else {
             return Err(RpcError::InvalidSession);
         };
-        if sess.role != Role::Server {
-            return Err(RpcError::InvalidSession);
-        }
-        let slot = sess.slots[handle.slot as usize].server_mut();
-        if slot.req_num != handle.req_num || slot.phase != crate::session::SrvPhase::Processing {
-            return Err(RpcError::InvalidSession);
-        }
-        // Build the response msgbuf: preallocated when it fits (§4.3).
-        let (mut buf, is_prealloc) = match slot.prealloc.take() {
-            Some(p) if self.cfg.opt_preallocated_responses && data.len() <= p.capacity() => {
-                (p, true)
-            }
-            other => {
-                slot.prealloc = other;
-                (self.pool.alloc(data.len()), false)
-            }
-        };
+        let enabled = self.cfg.opt_preallocated_responses;
+        let (mut buf, is_prealloc) =
+            take_resp_buf(&mut slot.prealloc, enabled, &mut self.pool, data.len());
         buf.fill(data);
-        slot.resp = Some(buf);
-        slot.resp_is_prealloc = is_prealloc;
-        slot.phase = crate::session::SrvPhase::Responding;
-        self.write_resp_hdr_template(handle.sess, handle.slot as usize);
-        self.tx_resp_pkt(handle.sess, handle.slot as usize, 0);
+        self.install_response(handle, buf, is_prealloc);
         Ok(())
     }
 

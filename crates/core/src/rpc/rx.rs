@@ -11,10 +11,16 @@ use erpc_transport::{RxToken, Transport};
 use crate::error::RpcError;
 use crate::msgbuf::MsgBuf;
 use crate::pkthdr::{PktHdr, PktHdrView, PktType, PKT_HDR_SIZE};
-use crate::session::{Role, SessionState, SrvPhase};
+use crate::session::{Role, ServerSlot, Session, SessionState, SrvPhase};
 
 use super::{Completion, ContContext, Continuation, DeferredHandle, HandlerEntry};
 use super::{QueuedOp, ReqContext, Rpc};
+
+/// Outcome of one data-path packet. `None`: dropped as stale — old,
+/// reordered, or inconsistent with its header (§5.3 treats all three as
+/// loss). `Some(straight)`: consumed; `straight` iff it took the §5.2
+/// straight-line case of its routine.
+type Handled = Option<bool>;
 
 impl<T: Transport> Rpc<T> {
     /// Count a datapath-invariant breach — a state the protocol logic
@@ -74,289 +80,60 @@ impl<T: Transport> Rpc<T> {
         std::hint::black_box(&mut self.desc_scratch[idx]);
     }
 
-    /// Per-packet dispatch, restructured around the common case (§5.2):
-    /// one up-front validity check (length, magic, known type) that every
-    /// packet needs, then the branch-lean fast path for data packets —
-    /// fields read lazily through a zero-decode [`PktHdrView`], handled
-    /// inline, response queued in the same pass. Anything unusual falls
-    /// through to the cold general path, which pays the full decode.
+    /// Per-packet dispatch (§5.2): the one up-front validity check every
+    /// packet needs (length, magic, known type), then one routine per
+    /// packet type. Data packets are read lazily through a zero-decode
+    /// [`PktHdrView`]; only CR/RFR/management pay the full decode.
+    ///
+    /// This is also the one classification point: every parsed packet is
+    /// counted exactly once, as a `fast_path_hits` (its routine ran the
+    /// §5.2 straight-line case) or a `slow_path_entries` (anything else,
+    /// including packets dropped as stale).
     fn process_one_pkt(&mut self, tok: RxToken) {
         self.stats.pkts_rx += 1;
         self.work.rx_pkts += 1;
         self.work.rx_bytes += tok.len() as u64;
-        let ty = {
-            let b = self.transport.rx_bytes(&tok);
-            match PktHdrView::parse(b) {
-                Some((_, ty)) => ty,
-                None => {
-                    // Malformed (short / bad magic / unknown type): dropped
-                    // by the one check, before any path-specific work.
-                    self.stats.rx_dropped_stale += 1;
-                    return;
-                }
-            }
+        let Some((_, ty)) = PktHdrView::parse(self.transport.rx_bytes(&tok)) else {
+            // Malformed (short / bad magic / unknown type): dropped by the
+            // one check, before any type-specific work.
+            self.stats.rx_dropped_stale += 1;
+            return;
         };
-        if self.cfg.opt_hdr_template {
-            let hit = match ty {
-                PktType::Req => self.server_rx_req_fast(&tok),
-                PktType::Resp => self.client_rx_resp_fast(&tok),
-                _ => false,
-            };
-            if hit {
-                self.stats.fast_path_hits += 1;
-                return;
+        let handled = match ty {
+            PktType::Req => self.server_rx_req(&tok),
+            PktType::Resp => self.client_rx_resp(&tok),
+            _ => self.process_one_pkt_slow(ty, tok),
+        };
+        match handled {
+            Some(true) => self.stats.fast_path_hits += 1,
+            Some(false) => self.stats.slow_path_entries += 1,
+            None => {
+                self.stats.slow_path_entries += 1;
+                self.stats.rx_dropped_stale += 1;
             }
         }
-        self.process_one_pkt_slow(ty, tok);
     }
 
-    /// The fully general (cold) packet path: multi-packet messages,
-    /// reordering, duplicates, credit returns, RFRs, and management.
-    /// `#[inline(never)]` keeps its code out of the dispatcher's
-    /// instruction stream; it eagerly decodes the whole header, which is
-    /// fine off the common case.
+    /// The cold packet types: credit returns, RFRs and management, which
+    /// eagerly decode the whole header. `#[inline(never)]` keeps them out
+    /// of the dispatcher's instruction stream.
     #[inline(never)]
-    fn process_one_pkt_slow(&mut self, ty: PktType, tok: RxToken) {
-        self.stats.slow_path_entries += 1;
-        let hdr = {
-            let b = self.transport.rx_bytes(&tok);
-            PktHdr::decode_validated(b)
-        };
-        debug_assert_eq!(hdr.pkt_type, ty);
+    fn process_one_pkt_slow(&mut self, ty: PktType, tok: RxToken) -> Handled {
+        let hdr = PktHdr::decode_validated(self.transport.rx_bytes(&tok));
         match ty {
-            PktType::Req => self.server_rx_req(hdr, tok),
-            PktType::Resp => self.client_rx_resp(hdr, tok),
-            PktType::CreditReturn => self.client_rx_cr(hdr),
-            PktType::Rfr => self.server_rx_rfr(hdr),
+            PktType::CreditReturn => return self.client_rx_cr(hdr),
+            PktType::Rfr => return self.server_rx_rfr(hdr),
             PktType::ConnectReq => self.rx_connect_req(hdr, tok),
             PktType::ConnectResp => self.rx_connect_resp(hdr, tok),
             PktType::DisconnectReq => self.rx_disconnect_req(hdr, tok),
             PktType::DisconnectResp => self.rx_disconnect_resp(hdr, tok),
             PktType::Ping => self.rx_ping(hdr),
             PktType::Pong => self.rx_pong(hdr),
-        }
-    }
-
-    /// §5.2 common-case fast path for a received request packet: connected
-    /// server session, new in-order single-packet request, dispatch-mode
-    /// handler, payload length consistent with the header — the handler
-    /// runs inline on the RX-ring bytes and the response is installed and
-    /// queued in the same pass. Returns `false` (having mutated *nothing*)
-    /// when any entry condition fails; the general path then re-dispatches
-    /// the packet from scratch.
-    fn server_rx_req_fast(&mut self, tok: &RxToken) -> bool {
-        if !self.cfg.opt_zero_copy_rx {
-            return false;
-        }
-        let dpp = self.dpp;
-        let (dest, req_num, msg_size, req_type, pkt_num, ecn, payload_len) = {
-            let b = self.transport.rx_bytes(tok);
-            let v = PktHdrView::trusted(b);
-            (
-                v.dest_session(),
-                v.req_num(),
-                v.msg_size() as usize,
-                v.req_type(),
-                v.pkt_num(),
-                v.ecn(),
-                b.len() - PKT_HDR_SIZE,
-            )
-        };
-        // Entry conditions (§5.2), checked before any state changes: the
-        // up-front length check doubles as the malformed-payload guard.
-        if pkt_num != 0 || msg_size > dpp || payload_len != msg_size {
-            return false;
-        }
-        if !matches!(self.handlers[req_type as usize], HandlerEntry::Dispatch(_)) {
-            return false;
-        }
-        let Some(Some(sess)) = self.sessions.get_mut(dest as usize) else {
-            return false;
-        };
-        if sess.role != Role::Server {
-            return false;
-        }
-        let slot_idx = (req_num % sess.slots.len() as u64) as usize;
-        {
-            let s = sess.slots[slot_idx].server();
-            let is_new = s.req_num == u64::MAX || req_num > s.req_num;
-            if !is_new || matches!(s.phase, SrvPhase::Processing | SrvPhase::Receiving) {
-                return false;
+            PktType::Req | PktType::Resp => {
+                Self::invariant_breach(&mut self.stats, "data packet on the cold path")
             }
         }
-
-        // ── Commit: a healthy single-packet request on a live session. ──
-        sess.last_rx_ns = self.now_cache;
-        let remote = sess.remote_num;
-        let s = sess.slots[slot_idx].server_mut();
-        // The client only reuses a slot after completing its previous
-        // request; reclaim the previous response.
-        if let Some(old) = s.resp.take() {
-            if s.resp_is_prealloc {
-                s.prealloc = Some(old);
-            } else {
-                self.pool.free(old);
-            }
-        }
-        s.phase = SrvPhase::Processing;
-        s.req_num = req_num;
-        s.req_type = req_type;
-        s.req_rcvd = 1;
-        s.req_total = 1;
-        s.resp_ecn = ecn;
-        let prealloc = s.prealloc.take();
-        self.stats.handlers_invoked += 1;
-        self.work.callbacks += 1;
-        let handle = DeferredHandle {
-            sess: dest,
-            slot: slot_idx as u8,
-            req_num,
-        };
-
-        // Run the handler inline on the RX-ring bytes (§4.2.3).
-        let this = &mut *self;
-        let mut ctx = ReqContext {
-            pool: &mut this.pool,
-            ops: &mut this.pending_ops,
-            prealloc,
-            prealloc_enabled: this.cfg.opt_preallocated_responses,
-            resp_built: None,
-            deferred: false,
-            handle,
-            max_msg_size: this.cfg.max_msg_size,
-        };
-        let HandlerEntry::Dispatch(f) = &mut this.handlers[req_type as usize] else {
-            // Entry-checked before the commit point above.
-            Self::invariant_breach(&mut this.stats, "handler entry changed mid-pass");
-            return true;
-        };
-        let payload = &this.transport.rx_bytes(tok)[PKT_HDR_SIZE..];
-        f(&mut ctx, payload);
-        let ReqContext {
-            prealloc,
-            resp_built,
-            deferred,
-            ..
-        } = ctx;
-        let Some(sess) = this.sessions[dest as usize].as_mut() else {
-            Self::invariant_breach(&mut this.stats, "server session vanished mid-dispatch");
-            return true;
-        };
-        let s = sess.slots[slot_idx].server_mut();
-        s.prealloc = prealloc;
-        match resp_built {
-            Some((mut buf, is_prealloc)) => {
-                // Install + header template + queue inline, with the slot
-                // borrow already in hand (no helper re-lookups): the §5.2
-                // "enqueue the response in the same pass" tail.
-                let hdr = PktHdr {
-                    pkt_type: PktType::Resp,
-                    ecn,
-                    req_type,
-                    dest_session: remote,
-                    msg_size: buf.len() as u32,
-                    req_num,
-                    pkt_num: 0,
-                };
-                buf.write_hdr_template(&hdr);
-                s.resp = Some(buf);
-                s.resp_is_prealloc = is_prealloc;
-                s.phase = SrvPhase::Responding;
-                self.queue_tx(super::TxDesc::SrvResp {
-                    sess: dest,
-                    slot: slot_idx as u8,
-                    req_num,
-                    pkt: 0,
-                });
-            }
-            None => {
-                if !deferred {
-                    // Handler-contract bug: neither respond() nor defer().
-                    // The slot stays Processing; the client retries or
-                    // times out (§5.3) instead of the server aborting.
-                    Self::invariant_breach(
-                        &mut self.stats,
-                        "dispatch handler must respond() or defer()",
-                    );
-                }
-                // Stays Processing until enqueue_response.
-            }
-        }
-        true
-    }
-
-    /// §5.2 common-case fast path for a received response packet: current
-    /// slot, first-and-only response packet, fits the application buffer,
-    /// payload length consistent with the header — copied out, credits
-    /// returned, completion invoked, all in one pass. Returns `false`
-    /// (having mutated nothing) when any condition fails.
-    fn client_rx_resp_fast(&mut self, tok: &RxToken) -> bool {
-        let dpp = self.dpp;
-        let (dest, req_num, msg_size, pkt_num, ecn, payload_len) = {
-            let b = self.transport.rx_bytes(tok);
-            let v = PktHdrView::trusted(b);
-            (
-                v.dest_session(),
-                v.req_num(),
-                v.msg_size() as usize,
-                v.pkt_num(),
-                v.ecn(),
-                b.len() - PKT_HDR_SIZE,
-            )
-        };
-        if pkt_num != 0 || msg_size > dpp || payload_len != msg_size {
-            return false;
-        }
-        let Some(Some(sess)) = self.sessions.get(dest as usize) else {
-            return false;
-        };
-        if sess.role != Role::Client || sess.state != SessionState::Connected {
-            return false;
-        }
-        let slot_idx = (req_num % sess.slots.len() as u64) as usize;
-        {
-            let c = sess.slots[slot_idx].client();
-            if !c.active || c.req_num != req_num || c.resp_rcvd != 0 || c.num_rx >= c.req_total {
-                return false;
-            }
-            if c.resp.as_ref().is_none_or(|r| msg_size > r.capacity()) {
-                return false; // MsgTooLarge completion is the general path's job
-            }
-        }
-
-        // ── Commit: the response, whole, in one packet. ──
-        let now = self.pkt_now();
-        let this = &mut *self;
-        let Some(sess) = this.sessions[dest as usize].as_mut() else {
-            Self::invariant_breach(&mut this.stats, "client session vanished pre-commit");
-            return false;
-        };
-        sess.last_rx_ns = this.now_cache;
-        let c = sess.slots[slot_idx].client_mut();
-        let rtt = c.rtt_sample(c.req_total - 1, now);
-        // Karn's rule: an RTT sample is only trusted for the RTO estimator
-        // if this slot's window was never retransmitted since its last
-        // progress — captured *before* the reset below.
-        let karn_ok = c.retries == 0;
-        let returned = c.req_total - c.num_rx;
-        c.num_rx = c.req_total;
-        c.resp_total = 1;
-        c.resp_rcvd = 1;
-        c.last_progress_ns = now;
-        c.retries = 0;
-        let Some(resp_buf) = c.resp.as_mut() else {
-            Self::invariant_breach(&mut this.stats, "active client slot lost resp buffer");
-            return true;
-        };
-        resp_buf.resize(msg_size);
-        let payload = &this.transport.rx_bytes(tok)[PKT_HDR_SIZE..];
-        resp_buf.write_pkt_data(0, payload);
-        sess.credits += returned;
-        this.cc_on_ack(dest, rtt, ecn, karn_ok, now);
-        // `done()` holds by construction (num_rx == req_total, resp_total
-        // == 1): complete straight into the continuation.
-        this.complete_slot(dest, slot_idx, Ok(()));
-        true
+        Some(false)
     }
 
     pub(super) fn touch_session_rx(&mut self, sess_idx: u16) {
@@ -368,182 +145,113 @@ impl<T: Transport> Rpc<T> {
 
     // ── Client RX: credit returns and responses ────────────────────────
 
-    /// Validate a client-session/slot pair for an incoming packet; returns
-    /// the session index if the packet is current.
-    fn client_slot_current(&mut self, hdr: &PktHdr) -> Option<u16> {
-        let sess = self
-            .sessions
-            .get(hdr.dest_session as usize)?
-            .as_ref()
-            .filter(|s| s.role == Role::Client && s.state == SessionState::Connected)?;
-        let slot_idx = (hdr.req_num % sess.slots.len() as u64) as usize;
-        let c = sess.slots[slot_idx].client();
-        if !c.active || c.req_num != hdr.req_num {
+    /// The slot of a connected client session that `req_num` is current
+    /// on, or `None` if the packet naming it is stale.
+    fn current_client_slot(sess: &Session, req_num: u64) -> Option<usize> {
+        if sess.role != Role::Client || sess.state != SessionState::Connected {
             return None;
         }
-        Some(hdr.dest_session)
+        let slot_idx = (req_num % sess.slots.len() as u64) as usize;
+        let c = sess.slots[slot_idx].client();
+        (c.active && c.req_num == req_num).then_some(slot_idx)
     }
 
-    fn client_rx_cr(&mut self, hdr: PktHdr) {
-        self.touch_session_rx(hdr.dest_session);
-        let Some(sess_idx) = self.client_slot_current(&hdr) else {
-            self.stats.rx_dropped_stale += 1;
-            return;
-        };
-        let now = self.pkt_now();
-        let n_slots = self.cfg.slots_per_session as u64;
-        let Some(sess) = self.sessions[sess_idx as usize].as_mut() else {
-            Self::invariant_breach(&mut self.stats, "client session vanished (CR)");
-            return;
-        };
-        let slot_idx = (hdr.req_num % n_slots) as usize;
+    /// Consume client RX sequence `rx_seq` of a slot (a CR, or a response
+    /// packet): return the credits it acknowledges, advance `num_rx`, and
+    /// reset the retransmission state. Returns the RTT sample and whether
+    /// Karn's rule admits it (the window was never retransmitted since
+    /// its last progress — captured before the reset).
+    fn ack_rx_seq(sess: &mut Session, slot_idx: usize, rx_seq: u32, now: u64) -> (u64, bool) {
         let c = sess.slots[slot_idx].client_mut();
-        // A CR acknowledges request packet `pkt_num`; in-order fabrics make
-        // this cumulative. RX sequence for request pkt k is k.
-        let rx_seq = hdr.pkt_num as u32;
-        if rx_seq >= c.num_tx || rx_seq < c.num_rx || rx_seq >= c.req_total {
-            self.stats.rx_dropped_stale += 1;
-            return;
-        }
-        let karn_ok = c.retries == 0; // Karn: capture before the reset
-        let newly = rx_seq + 1 - c.num_rx;
+        let karn_ok = c.retries == 0;
+        sess.credits += rx_seq + 1 - c.num_rx;
         c.num_rx = rx_seq + 1;
         c.last_progress_ns = now;
         c.retries = 0;
-        let rtt = c.rtt_sample(rx_seq, now);
-        sess.credits += newly;
-        self.cc_on_ack(sess_idx, rtt, hdr.ecn, karn_ok, now);
-        self.pump_session(sess_idx);
+        (c.rtt_sample(rx_seq, now), karn_ok)
     }
 
-    fn client_rx_resp(&mut self, hdr: PktHdr, tok: RxToken) {
-        self.touch_session_rx(hdr.dest_session);
-        let Some(sess_idx) = self.client_slot_current(&hdr) else {
-            self.stats.rx_dropped_stale += 1;
-            return;
-        };
+    fn client_rx_cr(&mut self, hdr: PktHdr) -> Handled {
+        let now = self.pkt_now();
+        let sess = self.sessions.get_mut(hdr.dest_session as usize)?.as_mut()?;
+        sess.last_rx_ns = self.now_cache;
+        let slot_idx = Self::current_client_slot(sess, hdr.req_num)?;
+        // A CR acknowledges request packet `pkt_num`; in-order fabrics make
+        // this cumulative. RX sequence for request pkt k is k.
+        let rx_seq = hdr.pkt_num as u32;
+        let c = sess.slots[slot_idx].client();
+        if rx_seq >= c.num_tx || rx_seq < c.num_rx || rx_seq >= c.req_total {
+            return None;
+        }
+        let (rtt, karn_ok) = Self::ack_rx_seq(sess, slot_idx, rx_seq, now);
+        self.cc_on_ack(hdr.dest_session, rtt, hdr.ecn, karn_ok, now);
+        self.pump_session(hdr.dest_session);
+        Some(false)
+    }
+
+    /// A response packet. The straight-line case (§5.2) is the first and
+    /// only packet of a response that fits the application's buffer:
+    /// copied out, credits returned, continuation invoked, all in this
+    /// pass. Later packets of a multi-packet response must arrive in order
+    /// (§5.3: reordered packets are treated as losses and dropped).
+    fn client_rx_resp(&mut self, tok: &RxToken) -> Handled {
         let now = self.pkt_now();
         let dpp = self.dpp;
-        let n_slots = self.cfg.slots_per_session as u64;
-        let slot_idx = (hdr.req_num % n_slots) as usize;
-
-        // Split borrows: payload from transport, slot from sessions.
-        let this = &mut *self;
-        let Some(sess) = this.sessions[sess_idx as usize].as_mut() else {
-            Self::invariant_breach(&mut this.stats, "client session vanished (resp)");
-            return;
-        };
+        let b = self.transport.rx_bytes(tok);
+        let v = PktHdrView::trusted(b);
+        let payload = &b[PKT_HDR_SIZE..];
+        let (dest, p, ecn) = (v.dest_session(), v.pkt_num() as u32, v.ecn());
+        let sess = self.sessions.get_mut(dest as usize)?.as_mut()?;
+        sess.last_rx_ns = self.now_cache;
+        let slot_idx = Self::current_client_slot(sess, v.req_num())?;
         let c = sess.slots[slot_idx].client_mut();
-        let karn_ok = c.retries == 0; // Karn: capture before any reset below
-        let p = hdr.pkt_num as u32;
-
-        // First response packet: reveals size, acks all request packets.
-        if p == 0 && c.resp_rcvd == 0 {
-            if c.num_rx >= c.req_total {
-                this.stats.rx_dropped_stale += 1;
-                return;
-            }
-            let resp_pkts = if hdr.msg_size == 0 {
-                1
-            } else {
-                (hdr.msg_size as usize).div_ceil(dpp) as u32
-            };
-            let rtt = c.rtt_sample(c.req_total - 1, now);
-            // Malformed-packet hardening FIRST: the packet must carry
-            // exactly the bytes its msg_size implies for packet 0 — a
-            // forged/truncated payload would corrupt (or overrun) the
-            // application's response buffer. Checked before the
-            // too-large branch below so a provably-inconsistent header
-            // cannot abort a legitimate in-flight RPC either: drop it
-            // like a loss (§5.3) and let the real response arrive.
-            let expected = (hdr.msg_size as usize).min(dpp);
-            if tok.len() - PKT_HDR_SIZE != expected {
-                this.stats.rx_dropped_stale += 1;
-                return;
-            }
-            let Some(resp_cap) = c.resp.as_ref().map(|r| r.capacity()) else {
-                Self::invariant_breach(&mut this.stats, "active client slot lost resp buffer");
-                return;
-            };
-            if hdr.msg_size as usize > resp_cap {
-                // Response doesn't fit the application's buffer: complete
-                // with an error (buffers returned to the app).
-                let returned = c.num_tx - c.num_rx;
-                c.num_rx = c.num_tx;
-                sess.credits += returned;
-                this.cc_on_ack(sess_idx, rtt, hdr.ecn, karn_ok, now);
-                this.complete_slot(sess_idx, slot_idx, Err(RpcError::MsgTooLarge));
-                return;
-            }
-            let returned = c.req_total - c.num_rx;
-            c.num_rx = c.req_total;
-            c.resp_total = resp_pkts;
-            c.resp_rcvd = 1;
-            c.last_progress_ns = now;
-            c.retries = 0;
-            let Some(resp_buf) = c.resp.as_mut() else {
-                Self::invariant_breach(&mut this.stats, "active client slot lost resp buffer");
-                return;
-            };
-            resp_buf.resize(hdr.msg_size as usize);
-            let payload = &this.transport.rx_bytes(&tok)[PKT_HDR_SIZE..];
-            resp_buf.write_pkt_data(0, payload);
-            sess.credits += returned;
-            this.cc_on_ack(sess_idx, rtt, hdr.ecn, karn_ok, now);
-            let done = this.sessions[sess_idx as usize]
-                .as_ref()
-                .is_some_and(|s| s.slots[slot_idx].client().done());
-            if done {
-                this.complete_slot(sess_idx, slot_idx, Ok(()));
-            } else {
-                this.pump_session(sess_idx);
-            }
-            return;
+        // Response packet `p` is RX sequence N + p − 1: packet 0 also acks
+        // every request packet (§5.1). It must be the next one expected
+        // and answer something actually transmitted.
+        let rx_seq = c.req_total + p - 1;
+        if p != c.resp_rcvd || rx_seq < c.num_rx || rx_seq >= c.num_tx {
+            return None;
         }
-
-        // Later response packets must arrive in order (§5.3: reordered
-        // packets are treated as losses and dropped).
-        if c.resp_total == 0 || p != c.resp_rcvd || p >= c.resp_total {
-            this.stats.rx_dropped_stale += 1;
-            return;
-        }
-        let rx_seq = c.req_total + p - 1; // RFR for pkt p had TX seq N+p-1
-        if rx_seq >= c.num_tx {
-            this.stats.rx_dropped_stale += 1;
-            return;
-        }
-        // Malformed-packet hardening: later response packets must carry
-        // exactly the chunk the (already-sized) response buffer expects at
-        // index `p`, or the copy below would index out of range.
-        let Some(expected_len) = c.resp.as_ref().map(|r| r.pkt_data_len(p as usize)) else {
-            Self::invariant_breach(&mut this.stats, "sized resp slot lost its buffer");
-            return;
+        let Some(resp) = c.resp.as_mut() else {
+            Self::invariant_breach(&mut self.stats, "active client slot lost resp buffer");
+            return None;
         };
-        if tok.len() - PKT_HDR_SIZE != expected_len {
-            this.stats.rx_dropped_stale += 1;
-            return;
+        // Malformed-packet hardening: the packet must carry exactly the
+        // bytes its index implies, or the copy below would corrupt (or
+        // overrun) the application's buffer. Checked before anything is
+        // trusted, so a forged header can neither do that nor abort a
+        // legitimate RPC as too large: it is dropped like a loss (§5.3).
+        if p == 0 {
+            // First packet: reveals the response size.
+            let msg_size = v.msg_size() as usize;
+            if payload.len() != msg_size.min(dpp) {
+                return None;
+            }
+            if msg_size > resp.capacity() {
+                // Doesn't fit the application's buffer: complete with an
+                // error (buffers returned to the app).
+                let (rtt, karn_ok) = Self::ack_rx_seq(sess, slot_idx, rx_seq, now);
+                self.cc_on_ack(dest, rtt, ecn, karn_ok, now);
+                self.complete_slot(dest, slot_idx, Err(RpcError::MsgTooLarge));
+                return Some(false);
+            }
+            resp.resize(msg_size);
+            c.resp_total = resp.num_pkts() as u32;
+        } else if p >= c.resp_total || payload.len() != resp.pkt_data_len(p as usize) {
+            return None;
         }
-        let rtt = c.rtt_sample(rx_seq, now);
-        c.num_rx += 1;
+        resp.write_pkt_data(p as usize, payload);
         c.resp_rcvd += 1;
-        c.last_progress_ns = now;
-        c.retries = 0;
-        let payload = &this.transport.rx_bytes(&tok)[PKT_HDR_SIZE..];
-        let Some(resp_buf) = c.resp.as_mut() else {
-            Self::invariant_breach(&mut this.stats, "sized resp slot lost its buffer");
-            return;
-        };
-        resp_buf.write_pkt_data(p as usize, payload);
-        sess.credits += 1;
-        this.cc_on_ack(sess_idx, rtt, hdr.ecn, karn_ok, now);
-        let done = this.sessions[sess_idx as usize]
-            .as_ref()
-            .is_some_and(|s| s.slots[slot_idx].client().done());
+        let (rtt, karn_ok) = Self::ack_rx_seq(sess, slot_idx, rx_seq, now);
+        let c = sess.slots[slot_idx].client();
+        let (done, straight) = (c.done(), c.resp_total == 1);
+        self.cc_on_ack(dest, rtt, ecn, karn_ok, now);
         if done {
-            this.complete_slot(sess_idx, slot_idx, Ok(()));
+            self.complete_slot(dest, slot_idx, Ok(()));
         } else {
-            this.pump_session(sess_idx);
+            self.pump_session(dest);
         }
+        Some(straight)
     }
 
     /// Congestion-control reaction to an acked packet (client side only,
@@ -590,12 +298,12 @@ impl<T: Transport> Rpc<T> {
         slot_idx: usize,
         result: Result<(), RpcError>,
     ) {
-        let n_slots = self.cfg.slots_per_session as u64;
         let now = self.now_cache;
         let Some(sess) = self.sessions[sess_idx as usize].as_mut() else {
             Self::invariant_breach(&mut self.stats, "complete_slot on missing session");
             return;
         };
+        let n_slots = sess.slots.len() as u64;
         let c = sess.slots[slot_idx].client_mut();
         debug_assert!(c.active);
         let (Some(req), Some(resp), Some(cont)) = (c.req.take(), c.resp.take(), c.cont.take())
@@ -662,39 +370,43 @@ impl<T: Transport> Rpc<T> {
 
     // ── Server RX: requests and RFRs ────────────────────────────────────
 
-    fn server_rx_req(&mut self, hdr: PktHdr, tok: RxToken) {
-        self.touch_session_rx(hdr.dest_session);
+    /// A request packet: classified against its slot — packet 0 of a new
+    /// request, the next in-order packet of the one being assembled, a
+    /// retransmitted duplicate, or stale — under one session borrow, and
+    /// checked against what its header implies *before* any state changes,
+    /// so a forged or truncated packet is dropped like a loss (§5.3) and
+    /// its bytes never reach the assembly buffer or a handler.
+    ///
+    /// The straight-line case (§5.2) is a new single-packet request for a
+    /// dispatch-mode handler: it falls through every branch below to run
+    /// the handler inline on the RX-ring bytes (zero-copy, §4.2.3) and
+    /// queue the response in the same pass.
+    fn server_rx_req(&mut self, tok: &RxToken) -> Handled {
         let dpp = self.dpp;
-        let n_slots = self.cfg.slots_per_session;
-        let Some(Some(sess)) = self.sessions.get_mut(hdr.dest_session as usize) else {
-            self.stats.rx_dropped_stale += 1;
-            return;
-        };
+        let b = self.transport.rx_bytes(tok);
+        let v = PktHdrView::trusted(b);
+        let payload = &b[PKT_HDR_SIZE..];
+        let (dest, req_num, p) = (v.dest_session(), v.req_num(), v.pkt_num() as u32);
+        let sess = self.sessions.get_mut(dest as usize)?.as_mut()?;
+        sess.last_rx_ns = self.now_cache;
         if sess.role != Role::Server {
-            self.stats.rx_dropped_stale += 1;
-            return;
+            return None;
         }
-        let sess_idx = hdr.dest_session;
-        let slot_idx = (hdr.req_num % n_slots as u64) as usize;
-        let peer = sess.peer;
-        let remote = sess.remote_num;
+        let (peer, remote, credits) = (sess.peer, sess.remote_num, sess.credits);
+        let slot_idx = (req_num % sess.slots.len() as u64) as usize;
         let s = sess.slots[slot_idx].server_mut();
 
-        let req_pkts = if hdr.msg_size == 0 {
-            1
-        } else {
-            (hdr.msg_size as usize).div_ceil(dpp) as u32
-        };
-
-        // New request for this slot?
-        let is_new = s.req_num == u64::MAX || hdr.req_num > s.req_num;
-        if is_new {
-            // The client only reuses a slot after completing its previous
-            // request, so the previous response can be reclaimed.
-            if s.phase == SrvPhase::Processing {
-                // Should not happen with a correct client; drop.
-                self.stats.rx_dropped_stale += 1;
-                return;
+        if s.req_num == u64::MAX || req_num > s.req_num {
+            // Packet 0 of a new request: the client only reuses a slot
+            // after completing its previous request (a handler still
+            // running means it did not), so the slot is this request's.
+            let msg_size = v.msg_size() as usize;
+            if p != 0
+                || s.phase == SrvPhase::Processing
+                || msg_size > self.cfg.max_msg_size
+                || payload.len() != msg_size.min(dpp)
+            {
+                return None;
             }
             if let Some(old) = s.resp.take() {
                 if s.resp_is_prealloc {
@@ -703,405 +415,227 @@ impl<T: Transport> Rpc<T> {
                     self.pool.free(old);
                 }
             }
-            if hdr.msg_size as usize > self.cfg.max_msg_size {
-                self.stats.rx_dropped_stale += 1;
-                return;
+            // A peer that abandons a half-sent request must not leave its
+            // assembly buffer behind for this request's packets.
+            if let Some(abandoned) = s.req_buf.take() {
+                self.pool.free(abandoned);
             }
-            s.phase = SrvPhase::Receiving;
-            s.req_num = hdr.req_num;
-            s.req_type = hdr.req_type;
+            s.req_num = req_num;
+            s.req_type = v.req_type();
             s.req_rcvd = 0;
-            s.req_total = req_pkts;
-            s.resp_ecn = false;
-            if req_pkts > 1 {
-                let mut buf = self.pool.alloc(hdr.msg_size as usize);
-                buf.resize(hdr.msg_size as usize);
+            s.req_total = 1;
+            // Multi-packet requests are assembled by copying; single-packet
+            // requests stay zero-copy (§4.2.3).
+            if msg_size > dpp {
+                let buf = self.pool.alloc(msg_size);
+                s.req_total = buf.num_pkts() as u32;
                 s.req_buf = Some(buf);
+                s.phase = SrvPhase::Receiving;
             }
-        } else if hdr.req_num < s.req_num {
-            self.stats.rx_dropped_stale += 1;
-            return;
-        }
-
-        let (phase, req_rcvd, req_total) = {
-            let Some(sess) = self.sessions[sess_idx as usize].as_ref() else {
-                Self::invariant_breach(&mut self.stats, "server session vanished mid-pass");
-                return;
-            };
-            let s = sess.slots[slot_idx].server();
-            (s.phase, s.req_rcvd, s.req_total)
-        };
-        let p = hdr.pkt_num as u32;
-
-        // Duplicate (retransmitted) packet handling.
-        if phase != SrvPhase::Receiving || p < req_rcvd {
-            if phase == SrvPhase::Responding && p + 1 == req_total {
-                // Retransmitted last request packet: the client lost our
-                // first response packet; resend it (§5.3 via go-back-N).
-                self.tx_resp_pkt(sess_idx, slot_idx, 0);
-            } else if p + 1 < req_total
-                && matches!(
-                    phase,
-                    SrvPhase::Receiving | SrvPhase::Processing | SrvPhase::Responding
-                )
-            {
+        } else if req_num < s.req_num {
+            return None;
+        } else if s.phase != SrvPhase::Receiving || p < s.req_rcvd {
+            // Retransmitted duplicate of the slot's request.
+            let req_total = s.req_total;
+            if s.phase == SrvPhase::Responding && p + 1 == req_total {
+                // Last request packet again: the client lost our first
+                // response packet; resend it (§5.3 via go-back-N).
+                self.tx_resp_pkt(dest, slot_idx, req_num, 0);
+            } else if p + 1 < req_total {
                 // Lost CR: resend it.
-                let cr = PktHdr::control(PktType::CreditReturn, remote, hdr.req_num, p as u16);
+                let cr = PktHdr::control(PktType::CreditReturn, remote, req_num, p as u16);
                 self.tx_ctrl(peer, cr);
             } else {
-                self.stats.rx_dropped_stale += 1;
+                return None;
             }
-            return;
-        }
-
-        // In-order new request packet?
-        if p != req_rcvd {
-            self.stats.rx_dropped_stale += 1; // reordering == loss (§5.3)
-            return;
-        }
-
-        // Malformed-packet hardening: the payload length must match what
-        // this packet index should carry *for the request being assembled*
-        // before any bytes touch the assembly buffer — a forged/truncated
-        // packet whose payload disagrees with its header would otherwise
-        // index out of the buffer's range. Dropped like a loss (§5.3).
-        let payload_len = tok.len() - PKT_HDR_SIZE;
-        let expected = {
-            let Some(sess) = self.sessions[sess_idx as usize].as_ref() else {
-                Self::invariant_breach(&mut self.stats, "server session vanished mid-pass");
-                return;
-            };
-            let s = sess.slots[slot_idx].server();
-            match &s.req_buf {
-                Some(b) => b.pkt_data_len(p as usize),
-                None => hdr.msg_size as usize, // single-packet request
-            }
-        };
-        if payload_len != expected {
-            self.stats.rx_dropped_stale += 1;
-            return;
-        }
+            return Some(false);
+        } else if p != s.req_rcvd
+            || s.req_buf.as_ref().map(|b| b.pkt_data_len(p as usize)) != Some(payload.len())
         {
-            let Some(sess) = self.sessions[sess_idx as usize].as_mut() else {
-                Self::invariant_breach(&mut self.stats, "server session vanished mid-pass");
-                return;
-            };
-            sess.slots[slot_idx].server_mut().req_rcvd += 1;
+            return None; // reordering == loss (§5.3); so is a wrong-sized chunk
         }
 
-        // Multi-packet requests are assembled by copying; single-packet
-        // requests stay zero-copy (§4.2.3).
-        if req_total > 1 {
-            let this = &mut *self;
-            let Some(sess) = this.sessions[sess_idx as usize].as_mut() else {
-                Self::invariant_breach(&mut this.stats, "server session vanished mid-pass");
-                return;
-            };
-            let s = sess.slots[slot_idx].server_mut();
-            let payload = &this.transport.rx_bytes(&tok)[PKT_HDR_SIZE..];
-            let Some(req_buf) = s.req_buf.as_mut() else {
-                Self::invariant_breach(&mut this.stats, "multi-packet request lost its buffer");
-                return;
-            };
-            req_buf.write_pkt_data(p as usize, payload);
+        // ── Commit: in-order packet `p` of the slot's request. ──
+        s.req_rcvd += 1;
+        if let Some(buf) = s.req_buf.as_mut() {
+            buf.write_pkt_data(p as usize, payload);
         }
-
-        // CR for request packets before the last (§5.1). An ECN mark on
-        // the request packet is echoed on its CR — the receiver-side half
-        // of DCQCN's congestion notification path. With `cr_batch` > 1,
-        // CRs are sent cumulatively every batch-th packet (§6.4's
-        // future-work optimization); the batch is capped at C/2 so the
-        // client's credit window keeps sliding.
-        if p + 1 < req_pkts {
-            let batch = {
-                let Some(sess) = self.sessions[sess_idx as usize].as_ref() else {
-                    Self::invariant_breach(&mut self.stats, "server session vanished mid-pass");
-                    return;
-                };
-                self.cfg
-                    .cr_batch
-                    .clamp(1, (sess.credits as usize / 2).max(1))
-            };
+        if s.req_rcvd < s.req_total {
+            // CR for request packets before the last (§5.1). An ECN mark on
+            // the request packet is echoed on its CR — the receiver-side
+            // half of DCQCN's congestion notification path. With `cr_batch`
+            // > 1, CRs are sent cumulatively every batch-th packet (§6.4's
+            // future-work optimization); the batch is capped at C/2 so the
+            // client's credit window keeps sliding.
+            let batch = self.cfg.cr_batch.clamp(1, (credits as usize / 2).max(1));
             if (p as usize + 1).is_multiple_of(batch) {
-                let mut cr = PktHdr::control(PktType::CreditReturn, remote, hdr.req_num, p as u16);
-                cr.ecn = hdr.ecn;
+                let mut cr = PktHdr::control(PktType::CreditReturn, remote, req_num, p as u16);
+                cr.ecn = v.ecn();
                 self.tx_ctrl(peer, cr);
             }
-            return;
-        }
-        if hdr.ecn {
-            let Some(sess) = self.sessions[sess_idx as usize].as_mut() else {
-                Self::invariant_breach(&mut self.stats, "server session vanished mid-pass");
-                return;
-            };
-            sess.slots[slot_idx].server_mut().resp_ecn = true;
+            return Some(false);
         }
 
-        // Last packet: the request is complete once req_rcvd == req_total.
-        let complete = {
-            let Some(sess) = self.sessions[sess_idx as usize].as_ref() else {
-                Self::invariant_breach(&mut self.stats, "server session vanished mid-pass");
-                return;
-            };
-            let s = sess.slots[slot_idx].server();
-            s.req_rcvd == s.req_total
-        };
-        if complete {
-            self.dispatch_request(sess_idx, slot_idx, hdr, tok);
-        }
-    }
-
-    /// Run (or dispatch) the request handler for a fully received request.
-    fn dispatch_request(&mut self, sess_idx: u16, slot_idx: usize, hdr: PktHdr, tok: RxToken) {
-        self.stats.handlers_invoked += 1;
-        self.work.callbacks += 1;
-        let req_num = hdr.req_num;
+        // ── Last packet: the request is complete; run its handler. ──
+        s.phase = SrvPhase::Processing;
+        // The last request packet gets no CR, so its ECN mark rides back
+        // on the response (baked into the header template at install).
+        s.resp_ecn = v.ecn();
+        let req_type = s.req_type;
+        let mut assembled = s.req_buf.take();
         let handle = DeferredHandle {
-            sess: sess_idx,
+            sess: dest,
             slot: slot_idx as u8,
             req_num,
         };
-
-        // Extract what the handler needs from the slot.
-        let (multi_buf, prealloc) = {
-            let Some(sess) = self.sessions[sess_idx as usize].as_mut() else {
-                Self::invariant_breach(&mut self.stats, "dispatch on missing session");
-                return;
-            };
-            let s = sess.slots[slot_idx].server_mut();
-            s.phase = SrvPhase::Processing;
-            (s.req_buf.take(), s.prealloc.take())
-        };
-
-        // What remains to do once the handler-table borrow ends.
-        enum After {
-            SendRespPkt0,
-            RespondEmpty,
-            Nothing,
-        }
-        let after = {
-            let this = &mut *self;
-            match &mut this.handlers[hdr.req_type as usize] {
-                HandlerEntry::None => {
-                    // Unknown request type: respond empty so the client
-                    // completes (the application sees a 0-byte response).
-                    if let Some(b) = multi_buf {
-                        this.pool.free(b);
+        self.stats.handlers_invoked += 1;
+        self.work.callbacks += 1;
+        let mut straight = false;
+        let resp = match &mut self.handlers[req_type as usize] {
+            HandlerEntry::Dispatch(f) => {
+                let mut ctx = ReqContext {
+                    pool: &mut self.pool,
+                    ops: &mut self.pending_ops,
+                    prealloc: s.prealloc.take(),
+                    prealloc_enabled: self.cfg.opt_preallocated_responses,
+                    resp_built: None,
+                    deferred: false,
+                    handle,
+                    max_msg_size: self.cfg.max_msg_size,
+                };
+                match &assembled {
+                    Some(req) => f(&mut ctx, req.data()),
+                    None if self.cfg.opt_zero_copy_rx => {
+                        straight = true;
+                        f(&mut ctx, payload);
                     }
-                    let Some(sess) = this.sessions[sess_idx as usize].as_mut() else {
-                        Self::invariant_breach(&mut this.stats, "dispatch on missing session");
-                        return;
-                    };
-                    sess.slots[slot_idx].server_mut().prealloc = prealloc;
-                    After::RespondEmpty
-                }
-                HandlerEntry::Dispatch(f) => {
-                    let mut ctx = ReqContext {
-                        pool: &mut this.pool,
-                        ops: &mut this.pending_ops,
-                        prealloc,
-                        prealloc_enabled: this.cfg.opt_preallocated_responses,
-                        resp_built: None,
-                        deferred: false,
-                        handle,
-                        max_msg_size: this.cfg.max_msg_size,
-                    };
-                    match &multi_buf {
-                        Some(b) => f(&mut ctx, b.data()),
-                        None if this.cfg.opt_zero_copy_rx => {
-                            // Zero-copy: handler reads the RX ring directly.
-                            let payload = &this.transport.rx_bytes(&tok)[PKT_HDR_SIZE..];
-                            f(&mut ctx, payload);
-                        }
-                        None => {
-                            // Table 3's "disable 0-copy request processing":
-                            // copy into a pooled msgbuf first.
-                            let payload_len = tok.len() - PKT_HDR_SIZE;
-                            let mut copy = ctx.pool.alloc(payload_len);
-                            {
-                                let payload = &this.transport.rx_bytes(&tok)[PKT_HDR_SIZE..];
-                                copy.fill(payload);
-                            }
-                            f(&mut ctx, copy.data());
-                            ctx.pool.free(copy);
-                        }
-                    }
-                    let ReqContext {
-                        prealloc,
-                        resp_built,
-                        deferred,
-                        ..
-                    } = ctx;
-                    if let Some(b) = multi_buf {
-                        this.pool.free(b);
-                    }
-                    let Some(sess) = this.sessions[sess_idx as usize].as_mut() else {
-                        Self::invariant_breach(&mut this.stats, "dispatch on missing session");
-                        return;
-                    };
-                    let s = sess.slots[slot_idx].server_mut();
-                    s.prealloc = prealloc;
-                    match resp_built {
-                        Some((buf, is_prealloc)) => {
-                            s.resp = Some(buf);
-                            s.resp_is_prealloc = is_prealloc;
-                            s.phase = SrvPhase::Responding;
-                            After::SendRespPkt0
-                        }
-                        None => {
-                            if !deferred {
-                                // Handler-contract bug; see server_rx_req_fast.
-                                Self::invariant_breach(
-                                    &mut this.stats,
-                                    "dispatch handler must respond() or defer()",
-                                );
-                            }
-                            After::Nothing // stays Processing until enqueue_response
-                        }
+                    None => {
+                        // Table 3's "disable 0-copy request processing":
+                        // copy into a pooled msgbuf first.
+                        let mut copy = ctx.pool.alloc(payload.len());
+                        copy.fill(payload);
+                        f(&mut ctx, copy.data());
+                        ctx.pool.free(copy);
                     }
                 }
-                HandlerEntry::Worker => {
-                    this.stats.handlers_to_workers += 1;
-                    // The assembled multi-packet msgbuf moves to the worker
-                    // whole; a single RX packet is copied into a pooled
-                    // buffer once (zero-copy RX bytes cannot outlive the
-                    // descriptor re-post, and cannot cross threads; §4.2.3
-                    // applies to dispatch mode only). Either way: pooled
-                    // buffers, zero heap allocations in steady state.
-                    let req = match multi_buf {
-                        Some(b) => b,
-                        None => {
-                            let payload_len = tok.len() - PKT_HDR_SIZE;
-                            let mut b = this.pool.alloc(payload_len);
-                            b.fill(&this.transport.rx_bytes(&tok)[PKT_HDR_SIZE..]);
-                            b
-                        }
-                    };
-                    let resp = this.pool.alloc(this.worker_resp_cap());
-                    let Some(sess) = this.sessions[sess_idx as usize].as_mut() else {
-                        Self::invariant_breach(&mut this.stats, "dispatch on missing session");
-                        return;
-                    };
-                    sess.slots[slot_idx].server_mut().prealloc = prealloc;
-                    let Some(worker) = this.worker.as_ref() else {
-                        Self::invariant_breach(&mut this.stats, "worker handler without a pool");
-                        return;
-                    };
-                    worker.submit(sess_idx, slot_idx as u8, req_num, hdr.req_type, req, resp);
-                    After::Nothing
+                s.prealloc = ctx.prealloc.take();
+                if ctx.resp_built.is_none() && !ctx.deferred {
+                    // Handler-contract bug: neither respond() nor defer().
+                    // The slot stays Processing; the client retries or
+                    // times out (§5.3) instead of the server aborting.
+                    Self::invariant_breach(
+                        &mut self.stats,
+                        "dispatch handler must respond() or defer()",
+                    );
                 }
+                ctx.resp_built // None: stays Processing until enqueue_response
+            }
+            HandlerEntry::Worker => {
+                self.stats.handlers_to_workers += 1;
+                // The assembled multi-packet msgbuf moves to the worker
+                // whole; a single RX packet is copied into a pooled
+                // buffer once (zero-copy RX bytes cannot outlive the
+                // descriptor re-post, and cannot cross threads; §4.2.3
+                // applies to dispatch mode only). Either way: pooled
+                // buffers, zero heap allocations in steady state.
+                let req = assembled.take().unwrap_or_else(|| {
+                    let mut b = self.pool.alloc(payload.len());
+                    b.fill(payload);
+                    b
+                });
+                let resp = self.pool.alloc(Self::worker_resp_cap(&self.cfg));
+                match self.worker.as_ref() {
+                    Some(w) => w.submit(dest, slot_idx as u8, req_num, req_type, req, resp),
+                    None => Self::invariant_breach(&mut self.stats, "worker handler, no pool"),
+                }
+                None
+            }
+            HandlerEntry::None => {
+                // Unknown request type: respond empty so the client
+                // completes (the application sees a 0-byte response).
+                let enabled = self.cfg.opt_preallocated_responses;
+                let (mut buf, is_prealloc) =
+                    super::take_resp_buf(&mut s.prealloc, enabled, &mut self.pool, 0);
+                buf.clear();
+                Some((buf, is_prealloc))
             }
         };
-        match after {
-            After::SendRespPkt0 => {
-                self.write_resp_hdr_template(sess_idx, slot_idx);
-                self.tx_resp_pkt(sess_idx, slot_idx, 0)
-            }
-            After::RespondEmpty => {
-                let _ = self.finish_response(handle, &[]);
-            }
-            After::Nothing => {}
+        if let Some(req) = assembled {
+            self.pool.free(req);
         }
+        if let Some((buf, is_prealloc)) = resp {
+            self.install_response(handle, buf, is_prealloc);
+        }
+        Some(straight)
     }
 
-    /// Build a response from `data` (preallocated msgbuf when it fits,
-    /// §4.3) and send its first packet — the copying path, used for the
-    /// unknown-type empty response and the public slice-based
-    /// [`Rpc::enqueue_response`].
-    pub(super) fn finish_response(
-        &mut self,
-        handle: DeferredHandle,
-        data: &[u8],
-    ) -> Result<(), RpcError> {
-        let Some(sess) = self
-            .sessions
-            .get_mut(handle.sess as usize)
-            .and_then(|s| s.as_mut())
-        else {
-            return Err(RpcError::InvalidSession);
-        };
-        let slot = sess.slots[handle.slot as usize].server_mut();
-        if slot.req_num != handle.req_num || slot.phase != SrvPhase::Processing {
-            return Err(RpcError::InvalidSession);
-        }
-        let (mut buf, is_prealloc) = match slot.prealloc.take() {
-            Some(p) if self.cfg.opt_preallocated_responses && data.len() <= p.capacity() => {
-                (p, true)
-            }
-            other => {
-                slot.prealloc = other;
-                (self.pool.alloc(data.len()), false)
-            }
-        };
-        buf.fill(data);
-        slot.resp = Some(buf);
-        slot.resp_is_prealloc = is_prealloc;
-        slot.phase = SrvPhase::Responding;
-        self.write_resp_hdr_template(handle.sess, handle.slot as usize);
-        self.tx_resp_pkt(handle.sess, handle.slot as usize, 0);
-        Ok(())
-    }
-
-    /// Install an already-built pooled response msgbuf into its slot and
-    /// send the first packet — the zero-copy path for worker completions
-    /// and deferred responses built in msgbufs. On a stale handle (the
+    /// The server slot `h` names, with its session's remote number, if it
+    /// still awaits that request's response. `None` on a stale handle: the
     /// session was freed or the slot reused while the response was being
-    /// produced) the buffer is handed back for recycling.
+    /// produced.
+    pub(super) fn awaiting_response(
+        sessions: &mut [Option<Session>],
+        h: DeferredHandle,
+    ) -> Option<(u16, &mut ServerSlot)> {
+        let sess = sessions.get_mut(h.sess as usize)?.as_mut()?;
+        if sess.role != Role::Server {
+            return None;
+        }
+        let s = sess.slots[h.slot as usize].server_mut();
+        (s.req_num == h.req_num && s.phase == SrvPhase::Processing).then_some((sess.remote_num, s))
+    }
+
+    /// The one place a response becomes the slot's: write its header
+    /// template (§5.2: one encode covering every response packet, with the
+    /// slot's `resp_ecn` echo baked in; every transmission and
+    /// retransmission then reuses these bytes), flip the phase, and queue
+    /// packet 0. On a stale handle the buffer recycles through the pool.
     pub(super) fn install_response(
         &mut self,
         handle: DeferredHandle,
-        resp: MsgBuf,
-    ) -> Result<(), MsgBuf> {
-        let Some(sess) = self
-            .sessions
-            .get_mut(handle.sess as usize)
-            .and_then(|s| s.as_mut())
-        else {
-            return Err(resp);
+        mut buf: MsgBuf,
+        is_prealloc: bool,
+    ) {
+        let Some((remote, s)) = Self::awaiting_response(&mut self.sessions, handle) else {
+            self.pool.free(buf);
+            return;
         };
-        if sess.role != Role::Server {
-            return Err(resp);
-        }
-        let slot = sess.slots[handle.slot as usize].server_mut();
-        if slot.req_num != handle.req_num || slot.phase != SrvPhase::Processing {
-            return Err(resp);
-        }
-        slot.resp = Some(resp);
-        slot.resp_is_prealloc = false;
-        slot.phase = SrvPhase::Responding;
-        self.write_resp_hdr_template(handle.sess, handle.slot as usize);
-        self.tx_resp_pkt(handle.sess, handle.slot as usize, 0);
-        Ok(())
+        buf.write_hdr_template(&PktHdr {
+            pkt_type: PktType::Resp,
+            ecn: s.resp_ecn,
+            req_type: s.req_type,
+            dest_session: remote,
+            msg_size: buf.len() as u32,
+            req_num: handle.req_num,
+            pkt_num: 0,
+        });
+        s.resp = Some(buf);
+        s.resp_is_prealloc = is_prealloc;
+        s.phase = SrvPhase::Responding;
+        self.tx_resp_pkt(handle.sess, handle.slot as usize, handle.req_num, 0);
     }
 
-    fn server_rx_rfr(&mut self, hdr: PktHdr) {
-        self.touch_session_rx(hdr.dest_session);
-        let n_slots = self.cfg.slots_per_session;
-        let Some(Some(sess)) = self.sessions.get_mut(hdr.dest_session as usize) else {
-            self.stats.rx_dropped_stale += 1;
-            return;
-        };
+    fn server_rx_rfr(&mut self, hdr: PktHdr) -> Handled {
+        let sess = self.sessions.get_mut(hdr.dest_session as usize)?.as_mut()?;
+        sess.last_rx_ns = self.now_cache;
         if sess.role != Role::Server {
-            self.stats.rx_dropped_stale += 1;
-            return;
+            return None;
         }
-        let slot_idx = (hdr.req_num % n_slots as u64) as usize;
-        let s = sess.slots[slot_idx].server_mut();
+        let slot_idx = (hdr.req_num % sess.slots.len() as u64) as usize;
+        let s = sess.slots[slot_idx].server();
         if s.req_num != hdr.req_num || s.phase != SrvPhase::Responding {
-            self.stats.rx_dropped_stale += 1;
-            return;
+            return None;
         }
-        let Some(total) = s.resp.as_ref().map(|r| r.num_pkts() as u32) else {
+        let Some(total) = s.resp.as_ref().map(|r| r.num_pkts()) else {
             Self::invariant_breach(&mut self.stats, "responding slot lost its resp buffer");
-            return;
+            return None;
         };
-        let p = hdr.pkt_num as u32;
-        if p == 0 || p >= total {
-            self.stats.rx_dropped_stale += 1;
-            return;
+        if hdr.pkt_num == 0 || hdr.pkt_num as usize >= total {
+            return None;
         }
         // RFRs are idempotent: duplicates (from go-back-N) re-send.
-        self.tx_resp_pkt(hdr.dest_session, slot_idx, p as usize);
+        self.tx_resp_pkt(hdr.dest_session, slot_idx, hdr.req_num, hdr.pkt_num);
+        Some(false)
     }
 
     // ── Worker completions ─────────────────────────────────────────────
@@ -1121,10 +655,7 @@ impl<T: Transport> Rpc<T> {
             // Both msgbufs come home: the request buffer recycles through
             // the pool; the response installs into the slot with no copy.
             self.pool.free(d.req);
-            if let Err(resp) = self.install_response(handle, d.resp) {
-                // The session was freed while the worker ran; recycle.
-                self.pool.free(resp);
-            }
+            self.install_response(handle, d.resp, false);
         }
         self.worker_done_scratch = done;
     }
@@ -1169,9 +700,7 @@ impl<T: Transport> Rpc<T> {
                         }
                     }
                     QueuedOp::Response { handle, resp } => {
-                        if let Err(buf) = self.install_response(handle, resp) {
-                            self.pool.free(buf);
-                        }
+                        self.install_response(handle, resp, false)
                     }
                 }
             }

@@ -399,10 +399,10 @@ impl<T: Transport> Rpc<T> {
             }
         }
         // Failure detection (Appendix B).
-        let (idle, last_rx, last_ping) = {
-            let sess = self.sessions[idx as usize].as_ref().unwrap();
-            (sess.outstanding == 0, sess.last_rx_ns, sess.last_ping_tx_ns)
-        };
+        let sess = self.sessions[idx as usize].as_ref().unwrap();
+        let (idle, last_rx, last_ping) =
+            (sess.outstanding == 0, sess.last_rx_ns, sess.last_ping_tx_ns);
+        let n_slots = sess.slots.len();
         if self.cfg.ping_interval_ns > 0 {
             if now.saturating_sub(last_rx) >= self.cfg.failure_timeout_ns {
                 self.fail_session(idx, RpcError::RemoteFailure);
@@ -424,7 +424,7 @@ impl<T: Transport> Rpc<T> {
         if idle {
             return;
         }
-        for slot_idx in 0..self.cfg.slots_per_session {
+        for slot_idx in 0..n_slots {
             let needs_rto = {
                 let sess = self.sessions[idx as usize].as_ref().unwrap();
                 let c = sess.slots[slot_idx].client();
@@ -499,11 +499,11 @@ impl<T: Transport> Rpc<T> {
         self.stats.sessions_failed += 1;
         self.transport.tx_flush();
         self.stats.tx_flushes += 1;
-        let n_slots = self.cfg.slots_per_session;
-        {
+        let n_slots = {
             let sess = self.sessions[sess_idx as usize].as_mut().unwrap();
             sess.state = SessionState::Failed;
-        }
+            sess.slots.len()
+        };
         // Error out active slots.
         for slot_idx in 0..n_slots {
             let active = {

@@ -13,15 +13,19 @@ use erpc_transport::{Addr, Transport, TxPacket};
 
 use crate::config::CcAlgorithm;
 use crate::pkthdr::{PktHdr, PktType, PKT_HDR_SIZE};
-use crate::session::{PendingReq, Role, SessionState, SrvPhase};
+use crate::session::{ClientSlot, PendingReq, Role, Session, SessionState, SrvPhase};
+use crate::stats::RpcStats;
 
 use super::Rpc;
 
-/// Entry in the pacing wheel: a *descriptor* of a packet to send, never a
-/// buffer reference — so rollback invalidation is a generation bump and
-/// the msgbuf-ownership invariant of §4.2.2/App. C holds structurally.
+/// A reference to TX sequence `seq` of one request incarnation on a client
+/// slot: request data packet `seq` while `seq < N` (N = request packets),
+/// the RFR for response packet `seq − N + 1` otherwise. Both the pacing
+/// wheel and the deferred TX queue hold these — *descriptors*, never
+/// buffer references — so rollback invalidation is an epoch bump and the
+/// msgbuf-ownership invariant of §4.2.2/App. C holds structurally.
 #[derive(Debug, Clone, Copy)]
-pub(super) struct WheelEntry {
+pub(super) struct ClientSeq {
     pub sess: u16,
     pub slot: u8,
     pub req_num: u64,
@@ -33,13 +37,12 @@ pub(super) struct WheelEntry {
 /// egress site appends one of these, and the event loop hands the whole
 /// batch to [`Transport::tx_burst`] at once — one DMA doorbell per batch.
 ///
-/// Like [`WheelEntry`], msgbuf-backed packets are *descriptors*
-/// (session/slot/req_num/epoch), never buffer references: a descriptor is
-/// re-validated against live slot state when the batch drains, so go-back-N
-/// rollback or slot completion between enqueue and drain simply invalidates
-/// it. This is the Rust analogue of the §4.2.2 DMA-queue flush — stale
-/// descriptors can never reach the wire, and msgbuf ownership can return to
-/// the application without waiting on the queue.
+/// Msgbuf-backed packets are descriptors: re-validated against live slot
+/// state when the batch drains, so go-back-N rollback or slot completion
+/// between enqueue and drain simply invalidates them. This is the Rust
+/// analogue of the §4.2.2 DMA-queue flush — stale descriptors can never
+/// reach the wire, and msgbuf ownership can return to the application
+/// without waiting on the queue.
 pub(super) enum TxDesc {
     /// Header-only control packet (CR / ping / pong); bytes owned here.
     Ctrl { dst: Addr, hdr: [u8; PKT_HDR_SIZE] },
@@ -49,16 +52,8 @@ pub(super) enum TxDesc {
         hdr: [u8; PKT_HDR_SIZE],
         body: Vec<u8>,
     },
-    /// Client TX sequence `seq` of a slot: request data packet while
-    /// `seq < req_total`, the RFR for response packet `seq − N + 1`
-    /// otherwise. Validated by (req_num, epoch) at drain.
-    ClientSeq {
-        sess: u16,
-        slot: u8,
-        req_num: u64,
-        epoch: u32,
-        seq: u32,
-    },
+    /// A client TX sequence; validated by (req_num, epoch) at drain.
+    Client(ClientSeq),
     /// Server response packet `pkt` of a slot; validated by req_num and the
     /// `Responding` phase at drain.
     SrvResp {
@@ -74,56 +69,56 @@ pub(super) enum TxDesc {
 pub(super) enum TxResolved {
     /// Stale: slot rolled back, completed, or freed since enqueue.
     Skip,
-    /// Send the descriptor's own owned bytes.
-    Owned,
+    /// Send the descriptor's own bytes, or its slot's msgbuf packet (whose
+    /// header was written once, when the message was installed).
+    Send,
     /// RFR header encoded at drain time (from live slot state).
     Rfr([u8; PKT_HDR_SIZE]),
-    /// Client request data packet; view built from the slot's req msgbuf.
-    Data,
-    /// Server response data packet; view built from the slot's resp msgbuf.
-    Resp,
 }
 
 impl<T: Transport> Rpc<T> {
     // ── TX path (all egress goes through the deferred batch) ───────────
 
-    /// Append a descriptor to the deferred TX queue. With batching enabled
-    /// the queue drains once per event-loop pass (or at `cfg.tx_batch`);
-    /// with it disabled every packet flushes immediately — the Table 3
-    /// "disable transmit batching" configuration.
+    /// Append a descriptor to the deferred TX queue, which drains once per
+    /// event-loop pass or as soon as it holds `cfg.tx_batch` descriptors.
     #[inline]
     pub(super) fn queue_tx(&mut self, desc: TxDesc) {
         self.tx_queue.push(desc);
-        if !self.cfg.opt_tx_batching || self.tx_queue.len() >= self.cfg.tx_batch {
+        if self.tx_queue.len() >= self.cfg.tx_batch {
             self.flush_tx_batch();
         }
     }
 
     /// Shared stale-reference check for deferred TX descriptors and
-    /// pacing-wheel entries: a queued `(sess, slot, req_num, epoch, seq)`
-    /// may transmit only while the slot still carries that exact request
-    /// incarnation. Rollback and completion bump `tx_epoch`; session
-    /// teardown empties the entry or flips its state — each path makes
-    /// every outstanding reference fail here, never reaching a msgbuf.
-    /// Keep this the single definition: the two queues must agree on
-    /// staleness or a rolled-back packet could still reach the wire.
-    fn client_pkt_valid(&self, sess: u16, slot: u8, req_num: u64, epoch: u32, seq: u32) -> bool {
-        self.sessions[sess as usize].as_ref().is_some_and(|s| {
-            s.role == Role::Client && s.state == SessionState::Connected && {
-                let c = s.slots[slot as usize].client();
-                c.active && c.req_num == req_num && c.tx_epoch == epoch && seq < c.num_tx
-            }
-        })
+    /// pacing-wheel entries: a queued [`ClientSeq`] may transmit only
+    /// while the slot still carries that exact request incarnation.
+    /// Rollback and completion bump `tx_epoch`; session teardown empties
+    /// the entry or flips its state — each path makes every outstanding
+    /// reference fail here, never reaching a msgbuf. Keep this the single
+    /// definition: the two queues must agree on staleness or a rolled-back
+    /// packet could still reach the wire. Returns the live slot with its
+    /// session's remote number.
+    fn client_seq_slot(
+        sessions: &mut [Option<Session>],
+        r: ClientSeq,
+    ) -> Option<(u16, &mut ClientSlot)> {
+        let s = sessions[r.sess as usize].as_mut()?;
+        if s.role != Role::Client || s.state != SessionState::Connected {
+            return None;
+        }
+        let c = s.slots[r.slot as usize].client_mut();
+        let live = c.active && c.req_num == r.req_num && c.tx_epoch == r.epoch && r.seq < c.num_tx;
+        live.then_some((s.remote_num, c))
     }
 
-    /// Drain the deferred TX queue into one `Transport::tx_burst`.
+    /// Drain the deferred TX queue into `Transport::tx_burst`.
     ///
     /// Two passes over the queue:
-    /// 1. *Validate + write headers*: msgbuf-backed descriptors are checked
-    ///    against live slot state exactly like reaped wheel entries — a
-    ///    rollback (epoch bump), completion, or session teardown since
-    ///    enqueue marks the descriptor stale and it is dropped, never sent.
-    ///    Valid data packets get their wire header written into the msgbuf.
+    /// 1. *Validate*: msgbuf-backed descriptors are checked against live
+    ///    slot state exactly like reaped wheel entries — a rollback (epoch
+    ///    bump), completion, or session teardown since enqueue marks the
+    ///    descriptor stale and it is dropped, never sent. Client sequences
+    ///    get their TX timestamp; RFR headers are encoded.
     /// 2. *Build views + burst*: borrow each surviving packet's bytes
     ///    (msgbuf views for data, owned bytes for ctrl/mgmt) and hand the
     ///    whole batch to the transport — one doorbell.
@@ -131,81 +126,34 @@ impl<T: Transport> Rpc<T> {
         if self.tx_queue.is_empty() {
             return;
         }
+        let mut queue = std::mem::take(&mut self.tx_queue);
         let mut resolved = std::mem::take(&mut self.tx_resolved);
         resolved.clear();
-        for d in self.tx_queue.iter() {
-            let r = match d {
-                TxDesc::Ctrl { .. } | TxDesc::Mgmt { .. } => TxResolved::Owned,
-                TxDesc::ClientSeq {
-                    sess,
-                    slot,
-                    req_num,
-                    epoch,
-                    seq,
-                } => {
-                    if !self.client_pkt_valid(*sess, *slot, *req_num, *epoch, *seq) {
-                        self.stats.tx_stale_dropped += 1;
-                        TxResolved::Skip
-                    } else {
-                        // Per-packet TX timestamp for RTT sampling: cached
-                        // when batched timestamps are on, a clock read per
-                        // packet when off (Table 3).
-                        let t = if self.cfg.opt_batched_timestamps {
-                            self.now_cache
-                        } else {
-                            self.stats.clock_reads += 1;
-                            self.transport.now_ns()
-                        };
-                        let hdr_template = self.cfg.opt_hdr_template;
-                        match self.sessions[*sess as usize].as_mut() {
-                            None => {
-                                Self::invariant_breach(
-                                    &mut self.stats,
-                                    "validated packet lost its session",
-                                );
-                                TxResolved::Skip
-                            }
-                            Some(sess_ref) => {
-                                let remote = sess_ref.remote_num;
-                                let c = sess_ref.slots[*slot as usize].client_mut();
-                                c.stamp_tx(*seq, t);
-                                if *seq >= c.req_total {
-                                    let p = *seq - c.req_total + 1;
-                                    let hdr =
-                                        PktHdr::control(PktType::Rfr, remote, *req_num, p as u16);
-                                    TxResolved::Rfr(hdr.encode())
-                                } else if hdr_template {
-                                    // Header-template fast path: the full
-                                    // wire header (incl. this packet's
-                                    // `pkt_num`) was written once at
-                                    // `start_request`; transmission and
-                                    // every retransmission reuse it
-                                    // untouched.
-                                    TxResolved::Data
-                                } else {
-                                    match c.req.as_mut() {
-                                        None => {
-                                            Self::invariant_breach(
-                                                &mut self.stats,
-                                                "active slot lost its req buffer",
-                                            );
-                                            TxResolved::Skip
-                                        }
-                                        Some(req) => {
-                                            let hdr = PktHdr {
-                                                pkt_type: PktType::Req,
-                                                ecn: false,
-                                                req_type: c.req_type,
-                                                dest_session: remote,
-                                                msg_size: req.len() as u32,
-                                                req_num: *req_num,
-                                                pkt_num: *seq as u16,
-                                            };
-                                            req.write_hdr(*seq as usize, &hdr);
-                                            TxResolved::Data
-                                        }
-                                    }
-                                }
+        for d in queue.iter() {
+            let r = match *d {
+                TxDesc::Ctrl { .. } => {
+                    self.stats.ctrl_pkts_tx += 1;
+                    TxResolved::Send
+                }
+                TxDesc::Mgmt { .. } => {
+                    self.stats.mgmt_pkts_tx += 1;
+                    TxResolved::Send
+                }
+                TxDesc::Client(r) => {
+                    // Per-packet TX timestamp for RTT sampling.
+                    let t = self.pkt_now();
+                    match Self::client_seq_slot(&mut self.sessions, r) {
+                        None => TxResolved::Skip,
+                        Some((remote, c)) => {
+                            c.stamp_tx(r.seq, t);
+                            if r.seq < c.req_total {
+                                self.stats.data_pkts_tx += 1;
+                                TxResolved::Send
+                            } else {
+                                self.stats.ctrl_pkts_tx += 1;
+                                let p = (r.seq - c.req_total + 1) as u16;
+                                let hdr = PktHdr::control(PktType::Rfr, remote, r.req_num, p);
+                                TxResolved::Rfr(hdr.encode())
                             }
                         }
                     }
@@ -216,76 +164,34 @@ impl<T: Transport> Rpc<T> {
                     req_num,
                     pkt,
                 } => {
-                    let valid = self.sessions[*sess as usize].as_ref().is_some_and(|s| {
+                    let valid = self.sessions[sess as usize].as_ref().is_some_and(|s| {
                         s.role == Role::Server && {
-                            let srv = s.slots[*slot as usize].server();
-                            srv.req_num == *req_num
+                            let srv = s.slots[slot as usize].server();
+                            srv.req_num == req_num
                                 && srv.phase == SrvPhase::Responding
                                 && srv
                                     .resp
                                     .as_ref()
-                                    .is_some_and(|r| (*pkt as usize) < r.num_pkts())
+                                    .is_some_and(|r| (pkt as usize) < r.num_pkts())
                         }
                     });
-                    if !valid {
-                        self.stats.tx_stale_dropped += 1;
-                        TxResolved::Skip
-                    } else if self.cfg.opt_hdr_template {
-                        // With header templates on there is nothing to do:
-                        // the full header (incl. the slot's explicit
-                        // `resp_ecn` echo state) was written once when the
-                        // response was installed.
-                        TxResolved::Resp
+                    if valid {
+                        self.stats.data_pkts_tx += 1;
+                        TxResolved::Send
                     } else {
-                        // Without templates, build and encode the header
-                        // per packet from the same explicit state — either
-                        // way the old "re-decode the in-place header to
-                        // keep a taken ECN mark sticky" hack is gone.
-                        match self.sessions[*sess as usize].as_mut() {
-                            None => {
-                                Self::invariant_breach(
-                                    &mut self.stats,
-                                    "validated response lost its session",
-                                );
-                                TxResolved::Skip
-                            }
-                            Some(sess_ref) => {
-                                let remote = sess_ref.remote_num;
-                                let srv = sess_ref.slots[*slot as usize].server_mut();
-                                let ecn = srv.resp_ecn;
-                                let req_type = srv.req_type;
-                                match srv.resp.as_mut() {
-                                    None => {
-                                        Self::invariant_breach(
-                                            &mut self.stats,
-                                            "responding slot lost its resp buffer",
-                                        );
-                                        TxResolved::Skip
-                                    }
-                                    Some(resp) => {
-                                        let hdr = PktHdr {
-                                            pkt_type: PktType::Resp,
-                                            ecn,
-                                            req_type,
-                                            dest_session: remote,
-                                            msg_size: resp.len() as u32,
-                                            req_num: *req_num,
-                                            pkt_num: *pkt,
-                                        };
-                                        resp.write_hdr(*pkt as usize, &hdr);
-                                        TxResolved::Resp
-                                    }
-                                }
-                            }
-                        }
+                        TxResolved::Skip
                     }
                 }
             };
+            match r {
+                TxResolved::Skip => self.stats.tx_stale_dropped += 1,
+                _ => self.work.tx_pkts += 1,
+            }
             resolved.push(r);
         }
         // Pass 2: packet views into bursts. Borrows are per-field
-        // (sessions/tx_queue immutably, transport mutably), so the batch
-        // can reference msgbufs in place — no copies on the egress path.
+        // (sessions immutably, transport mutably), so the batch can
+        // reference msgbufs in place — no copies on the egress path.
         // Views accumulate in a stack chunk (`TxPacket` is `Copy`), not a
         // heap Vec: no allocation on the per-pass hot path. Batches larger
         // than the chunk ring the doorbell once per chunk.
@@ -297,10 +203,10 @@ impl<T: Transport> Rpc<T> {
         };
         // The chunk is sized to the batch (1 / 8 / 64): the common small
         // batch (a handful of packets per event-loop pass) must not pay
-        // the full 64-entry chunk's initialization, and the per-packet
-        // ablation (`opt_tx_batching = false`) pays for exactly one.
+        // the full 64-entry chunk's initialization, and `tx_batch = 1`
+        // pays for exactly one.
         let (mut chunk1, mut chunk8, mut chunk64);
-        let chunk: &mut [TxPacket<'_>] = match self.tx_queue.len() {
+        let chunk: &mut [TxPacket<'_>] = match queue.len() {
             1 => {
                 chunk1 = [empty; 1];
                 &mut chunk1
@@ -315,109 +221,65 @@ impl<T: Transport> Rpc<T> {
             }
         };
         let mut n = 0usize;
-        let mut sent = 0usize;
-        for (d, r) in self.tx_queue.iter().zip(resolved.iter()) {
-            let pkt = match (d, r) {
-                (_, TxResolved::Skip) => continue,
-                (TxDesc::Ctrl { dst, hdr }, TxResolved::Owned) => {
-                    self.stats.ctrl_pkts_tx += 1;
-                    TxPacket {
-                        dst: *dst,
-                        hdr,
-                        data: &[],
-                    }
-                }
-                (TxDesc::Mgmt { dst, hdr, body }, TxResolved::Owned) => {
-                    self.stats.mgmt_pkts_tx += 1;
-                    TxPacket {
-                        dst: *dst,
-                        hdr,
-                        data: body,
-                    }
-                }
-                (
-                    TxDesc::ClientSeq {
-                        sess, slot, seq, ..
-                    },
-                    TxResolved::Data,
-                ) => {
-                    let Some(s) = self.sessions[*sess as usize].as_ref() else {
-                        Self::invariant_breach(&mut self.stats, "resolved pkt lost its session");
-                        continue;
-                    };
-                    let c = s.slots[*slot as usize].client();
-                    let Some(req) = c.req.as_ref() else {
-                        Self::invariant_breach(&mut self.stats, "resolved pkt lost its buffer");
-                        continue;
-                    };
-                    let (h, d) = req.tx_view(*seq as usize);
-                    self.stats.data_pkts_tx += 1;
-                    TxPacket {
-                        dst: s.peer,
-                        hdr: h,
-                        data: d,
-                    }
-                }
-                (TxDesc::ClientSeq { sess, .. }, TxResolved::Rfr(bytes)) => {
-                    let Some(s) = self.sessions[*sess as usize].as_ref() else {
-                        Self::invariant_breach(&mut self.stats, "resolved RFR lost its session");
-                        continue;
-                    };
-                    self.stats.ctrl_pkts_tx += 1;
-                    TxPacket {
-                        dst: s.peer,
-                        hdr: bytes,
-                        data: &[],
-                    }
-                }
-                (
-                    TxDesc::SrvResp {
-                        sess, slot, pkt, ..
-                    },
-                    TxResolved::Resp,
-                ) => {
-                    let Some(s) = self.sessions[*sess as usize].as_ref() else {
-                        Self::invariant_breach(&mut self.stats, "resolved resp lost its session");
-                        continue;
-                    };
-                    let srv = s.slots[*slot as usize].server();
-                    let Some(resp) = srv.resp.as_ref() else {
-                        Self::invariant_breach(&mut self.stats, "resolved resp lost its buffer");
-                        continue;
-                    };
-                    let (h, d) = resp.tx_view(*pkt as usize);
-                    self.stats.data_pkts_tx += 1;
-                    TxPacket {
-                        dst: s.peer,
-                        hdr: h,
-                        data: d,
-                    }
-                }
-                _ => {
-                    Self::invariant_breach(&mut self.stats, "descriptor/resolution mismatch");
-                    continue;
-                }
+        for (d, r) in queue.iter().zip(resolved.iter()) {
+            if matches!(r, TxResolved::Skip) {
+                continue;
+            }
+            let Some(pkt) = Self::tx_packet(&self.sessions, d, r) else {
+                Self::invariant_breach(&mut self.stats, "validated packet lost its buffer");
+                continue;
             };
             chunk[n] = pkt;
             n += 1;
             if n == chunk.len() {
-                self.transport.tx_burst(chunk);
-                self.stats.tx_bursts += 1;
-                self.stats.tx_batch_hist.record(n as u64);
-                sent += n;
+                Self::ring_doorbell(&mut self.transport, &mut self.stats, chunk);
                 n = 0;
             }
         }
         if n > 0 {
-            self.transport.tx_burst(&chunk[..n]);
-            self.stats.tx_bursts += 1;
-            self.stats.tx_batch_hist.record(n as u64);
-            sent += n;
+            Self::ring_doorbell(&mut self.transport, &mut self.stats, &chunk[..n]);
         }
-
-        self.work.tx_pkts += sent as u64;
-        self.tx_queue.clear();
+        queue.clear();
+        self.tx_queue = queue;
         self.tx_resolved = resolved;
+    }
+
+    /// The wire bytes of a validated descriptor, borrowed in place.
+    fn tx_packet<'a>(
+        sessions: &'a [Option<Session>],
+        d: &'a TxDesc,
+        r: &'a TxResolved,
+    ) -> Option<TxPacket<'a>> {
+        let (dst, (hdr, data)): (Addr, (&[u8], &[u8])) = match (d, r) {
+            (TxDesc::Ctrl { dst, hdr }, _) => (*dst, (hdr, &[])),
+            (TxDesc::Mgmt { dst, hdr, body }, _) => (*dst, (hdr, body)),
+            (TxDesc::Client(c), TxResolved::Rfr(bytes)) => {
+                (sessions[c.sess as usize].as_ref()?.peer, (bytes, &[]))
+            }
+            (TxDesc::Client(c), _) => {
+                let s = sessions[c.sess as usize].as_ref()?;
+                let req = s.slots[c.slot as usize].client().req.as_ref()?;
+                (s.peer, req.tx_view(c.seq as usize))
+            }
+            (
+                TxDesc::SrvResp {
+                    sess, slot, pkt, ..
+                },
+                _,
+            ) => {
+                let s = sessions[*sess as usize].as_ref()?;
+                let resp = s.slots[*slot as usize].server().resp.as_ref()?;
+                (s.peer, resp.tx_view(*pkt as usize))
+            }
+        };
+        Some(TxPacket { dst, hdr, data })
+    }
+
+    /// One `tx_burst`: one DMA doorbell.
+    fn ring_doorbell(transport: &mut T, stats: &mut RpcStats, pkts: &[TxPacket<'_>]) {
+        transport.tx_burst(pkts);
+        stats.tx_bursts += 1;
+        stats.tx_batch_hist.record(pkts.len() as u64);
     }
 
     pub(super) fn tx_ctrl(&mut self, dst: Addr, hdr: PktHdr) {
@@ -435,198 +297,96 @@ impl<T: Transport> Rpc<T> {
         });
     }
 
-    /// Write the header template for a freshly installed response (§5.2):
-    /// one encode covering every response packet, with the slot's explicit
-    /// `resp_ecn` echo state baked in. Called exactly once per response,
-    /// at install time (`phase → Responding`); every transmission and
-    /// retransmission of any response packet then reuses these bytes.
-    pub(super) fn write_resp_hdr_template(&mut self, sess_idx: u16, slot_idx: usize) {
-        if !self.cfg.opt_hdr_template {
-            return;
-        }
-        let Some(sess) = self.sessions[sess_idx as usize].as_mut() else {
-            Self::invariant_breach(&mut self.stats, "resp template on missing session");
-            return;
-        };
-        let remote = sess.remote_num;
-        let srv = sess.slots[slot_idx].server_mut();
-        let ecn = srv.resp_ecn;
-        let req_type = srv.req_type;
-        let req_num = srv.req_num;
-        let Some(resp) = srv.resp.as_mut() else {
-            Self::invariant_breach(&mut self.stats, "resp template without installed response");
-            return;
-        };
-        let hdr = PktHdr {
-            pkt_type: PktType::Resp,
-            ecn,
-            req_type,
-            dest_session: remote,
-            msg_size: resp.len() as u32,
-            req_num,
-            pkt_num: 0,
-        };
-        resp.write_hdr_template(&hdr);
-    }
-
-    /// Queue response packet `p` of a server slot (unpaced: servers are
-    /// passive, §5). The header is written and the msgbuf view taken at
-    /// drain time, so a slot reused before the drain drops the packet.
-    pub(super) fn tx_resp_pkt(&mut self, sess_idx: u16, slot_idx: usize, p: usize) {
-        let Some(req_num) = self.sessions[sess_idx as usize]
-            .as_ref()
-            .map(|s| s.slots[slot_idx].server().req_num)
-        else {
-            Self::invariant_breach(&mut self.stats, "tx_resp_pkt on missing session");
-            return;
-        };
+    /// Queue response packet `pkt` of a server slot (unpaced: servers are
+    /// passive, §5). The msgbuf view is taken at drain time, so a slot
+    /// reused before the drain drops the packet.
+    pub(super) fn tx_resp_pkt(&mut self, sess: u16, slot_idx: usize, req_num: u64, pkt: u16) {
         self.queue_tx(TxDesc::SrvResp {
-            sess: sess_idx,
+            sess,
             slot: slot_idx as u8,
             req_num,
-            pkt: p as u16,
+            pkt,
         });
     }
 
-    /// Advance all transmittable work on a client session: send request
-    /// packets and RFRs while credits allow, then promote the backlog into
-    /// free slots.
+    /// Advance all transmittable work on a client session: promote the
+    /// backlog into free slots, then send request packets and RFRs while
+    /// credits allow.
     pub(super) fn pump_session(&mut self, sess_idx: u16) {
-        let n_slots = self.cfg.slots_per_session;
-        loop {
-            let sess = match self.sessions[sess_idx as usize].as_mut() {
-                Some(s) if s.role == Role::Client && s.state == SessionState::Connected => s,
-                _ => return,
-            };
-            // Promote backlogged requests into free slots first.
-            if let Some(slot_idx) = sess.free_slot() {
-                if let Some(p) = sess.backlog.pop_front() {
-                    self.start_request(sess_idx, slot_idx, p);
-                    continue;
-                }
-            }
-            // Transmit pending sequences, slot by slot. The common case —
-            // pacer bypassed (§5.2.2 opt 2) — takes one slot borrow and
-            // one credit/counter update for the slot's whole transmittable
-            // window, then queues the descriptors; only the paced path
-            // pays the per-sequence reservation arithmetic.
-            enum Act {
-                Bulk {
-                    first: u32,
-                    n: u32,
-                    req_num: u64,
-                    epoch: u32,
-                },
-                Paced {
-                    seq: u32,
-                },
-                Done,
-            }
-            let mut sent_any = false;
-            for slot_idx in 0..n_slots {
-                loop {
-                    let uncontrolled = matches!(self.cfg.cc, CcAlgorithm::None);
-                    let bypass_ok = self.cfg.opt_rate_limiter_bypass;
-                    let act = match self.sessions[sess_idx as usize].as_mut() {
-                        None => {
-                            // Checked Connected at loop entry; vanishing
-                            // mid-pump is statically unreachable.
-                            Self::invariant_breach(
-                                &mut self.stats,
-                                "client session vanished mid-pump",
-                            );
-                            Act::Done
-                        }
-                        Some(sess) => {
-                            let credits = sess.credits;
-                            if credits == 0 {
-                                Act::Done
-                            } else {
-                                let bypass =
-                                    uncontrolled || (bypass_ok && sess.cc.is_uncongested());
-                                let c = sess.slots[slot_idx].client_mut();
-                                let target = c.tx_target();
-                                if !c.active || c.num_tx >= target {
-                                    Act::Done
-                                } else if bypass {
-                                    let first = c.num_tx;
-                                    let n = (target - first).min(credits);
-                                    let (req_num, epoch) = (c.req_num, c.tx_epoch);
-                                    c.num_tx += n;
-                                    sess.credits -= n;
-                                    Act::Bulk {
-                                        first,
-                                        n,
-                                        req_num,
-                                        epoch,
-                                    }
-                                } else {
-                                    let seq = c.num_tx;
-                                    c.num_tx += 1;
-                                    sess.credits -= 1;
-                                    Act::Paced { seq }
-                                }
-                            }
-                        }
-                    };
-                    match act {
-                        Act::Done => break,
-                        Act::Bulk {
-                            first,
-                            n,
-                            req_num,
-                            epoch,
-                        } => {
-                            self.stats.pkts_bypassed_pacer += n as u64;
-                            for seq in first..first + n {
-                                self.queue_tx(TxDesc::ClientSeq {
-                                    sess: sess_idx,
-                                    slot: slot_idx as u8,
-                                    req_num,
-                                    epoch,
-                                    seq,
-                                });
-                            }
-                            sent_any = true;
-                            break; // window exhausted for this slot
-                        }
-                        Act::Paced { seq } => {
-                            self.pace_or_send(sess_idx, slot_idx, seq);
-                            sent_any = true;
-                        }
-                    }
-                }
-            }
-            if !sent_any {
-                return;
-            }
-            // Loop again: sends may have been the last packets needed to
-            // free a slot? (No — slots free on RX.) Backlog may still have
-            // entries but no free slot; exit.
+        let now = self.now_cache;
+        let uncontrolled = matches!(self.cfg.cc, CcAlgorithm::None);
+        let Some(sess) = self.sessions[sess_idx as usize].as_mut() else {
             return;
+        };
+        if sess.role != Role::Client || sess.state != SessionState::Connected {
+            return;
+        }
+        while !sess.backlog.is_empty() {
+            let Some(slot_idx) = sess.free_slot() else {
+                break;
+            };
+            if let Some(p) = sess.backlog.pop_front() {
+                Self::start_request(sess, slot_idx, p, now);
+            }
+        }
+        // Transmit pending sequences, slot by slot: one slot borrow and
+        // one credit/counter update for the slot's whole transmittable
+        // window, then queue the descriptors. In the common case the
+        // pacer is bypassed (§5.2.2 opt 2); only the paced path pays the
+        // per-sequence reservation arithmetic.
+        let bypass = uncontrolled || (self.cfg.opt_rate_limiter_bypass && sess.cc.is_uncongested());
+        for slot_idx in 0..sess.slots.len() {
+            let Some(sess) = self.sessions[sess_idx as usize].as_mut() else {
+                return;
+            };
+            let c = sess.slots[slot_idx].client_mut();
+            if !c.active {
+                continue;
+            }
+            let first = c.num_tx;
+            let n = c.tx_target().saturating_sub(first).min(sess.credits);
+            c.num_tx += n;
+            sess.credits -= n;
+            let (req_num, epoch) = (c.req_num, c.tx_epoch);
+            for seq in first..first + n {
+                let r = ClientSeq {
+                    sess: sess_idx,
+                    slot: slot_idx as u8,
+                    req_num,
+                    epoch,
+                    seq,
+                };
+                if bypass {
+                    self.stats.pkts_bypassed_pacer += 1;
+                    self.queue_tx(TxDesc::Client(r));
+                } else {
+                    self.pace_or_send(r);
+                }
+            }
         }
     }
 
-    fn start_request(&mut self, sess_idx: u16, slot_idx: usize, p: PendingReq) {
-        let now = self.now_cache;
-        let dpp = self.dpp;
-        let hdr_template = self.cfg.opt_hdr_template;
-        let Some(sess) = self.sessions[sess_idx as usize].as_mut() else {
-            // Dropping `p` here forfeits the request (bufs + continuation).
-            Self::invariant_breach(&mut self.stats, "start_request on missing session");
-            return;
-        };
-        let remote = sess.remote_num;
+    /// Move a backlogged request into a free slot. Every field of every
+    /// request packet's header is known right here, so the header template
+    /// (§5.2) is written once: transmission and go-back-N retransmission
+    /// then touch no header bytes at all.
+    fn start_request(sess: &mut Session, slot_idx: usize, p: PendingReq, now: u64) {
         let c = sess.slots[slot_idx].client_mut();
         debug_assert!(!c.active);
+        let mut req = p.req;
+        req.write_hdr_template(&PktHdr {
+            pkt_type: PktType::Req,
+            ecn: false,
+            req_type: p.req_type,
+            dest_session: sess.remote_num,
+            msg_size: req.len() as u32,
+            req_num: c.req_num,
+            pkt_num: 0,
+        });
         c.active = true;
         c.req_type = p.req_type;
-        c.req_total = if p.req.is_empty() {
-            1
-        } else {
-            p.req.len().div_ceil(dpp) as u32
-        };
-        c.req = Some(p.req);
+        c.req_total = req.num_pkts() as u32;
+        c.req = Some(req);
         c.resp = Some(p.resp);
         c.cont = Some(p.cont);
         // Latency is documented as enqueue → continuation: a request that
@@ -639,102 +399,38 @@ impl<T: Transport> Rpc<T> {
         c.resp_total = 0;
         c.last_progress_ns = now;
         c.retries = 0;
-        // Header templates (§5.2): every field of every request packet's
-        // header is known right here — write them all once. Transmission
-        // and go-back-N retransmission then touch no header bytes at all
-        // (request headers never change; responses patch ECN only).
-        if hdr_template {
-            let Some(req) = c.req.as_mut() else {
-                Self::invariant_breach(&mut self.stats, "fresh slot lost its req buffer");
-                return;
-            };
-            let hdr = PktHdr {
-                pkt_type: PktType::Req,
-                ecn: false,
-                req_type: p.req_type,
-                dest_session: remote,
-                msg_size: req.len() as u32,
-                req_num: c.req_num,
-                pkt_num: 0,
-            };
-            req.write_hdr_template(&hdr);
-        }
     }
 
-    /// Send TX sequence `seq` of a slot now, or schedule it in the pacing
-    /// wheel (§5.2's rate limiter with the §5.2.2 bypass).
-    fn pace_or_send(&mut self, sess_idx: u16, slot_idx: usize, seq: u32) {
+    /// Send a client TX sequence now, or schedule it in the pacing wheel
+    /// (§5.2's rate limiter; sessions that bypass it never get here).
+    fn pace_or_send(&mut self, r: ClientSeq) {
         let now = self.pkt_now();
-        let uncontrolled = matches!(self.cfg.cc, CcAlgorithm::None);
-        let Some(sess) = self.sessions[sess_idx as usize].as_mut() else {
+        let Some(sess) = self.sessions[r.sess as usize].as_mut() else {
             Self::invariant_breach(&mut self.stats, "pace_or_send on missing session");
             return;
         };
-        if uncontrolled || (self.cfg.opt_rate_limiter_bypass && sess.cc.is_uncongested()) {
-            self.stats.pkts_bypassed_pacer += 1;
-            self.tx_client_seq(sess_idx, slot_idx, seq);
-            return;
-        }
-        // Paced path: reserve wire time at the session's allowed rate.
-        // Reservations are bounded to a wide safety horizon (16× the wheel
-        // span): deadlines past the wheel re-insert correctly, but an
-        // unbounded reservation backlog — e.g. repeated rollbacks at the
-        // minimum rate — must not be able to push a slot past its RTO
-        // budget forever. (Rollback also releases its reservations.)
+        // Reserve wire time at the session's allowed rate. Reservations
+        // are bounded to a wide safety horizon (16× the wheel span):
+        // deadlines past the wheel re-insert correctly, but an unbounded
+        // reservation backlog — e.g. repeated rollbacks at the minimum
+        // rate — must not be able to push a slot past its RTO budget
+        // forever. (Rollback also releases its reservations.)
         let horizon = 16 * self.cfg.wheel_slots as u64 * self.cfg.wheel_granularity_ns;
         let rate = sess.cc.rate_bps().unwrap_or(self.cfg.link_bps);
-        let c = sess.slots[slot_idx].client_mut();
-        let bytes = if seq < c.req_total {
-            let Some(req) = c.req.as_ref() else {
-                Self::invariant_breach(&mut self.stats, "paced slot lost its req buffer");
-                return;
+        let c = sess.slots[r.slot as usize].client();
+        let bytes = PKT_HDR_SIZE
+            + match &c.req {
+                Some(req) if r.seq < c.req_total => req.pkt_data_len(r.seq as usize),
+                _ => 0, // an RFR is header-only
             };
-            PKT_HDR_SIZE + req.pkt_data_len(seq as usize)
-        } else {
-            PKT_HDR_SIZE
-        };
-        let slot_epoch = c.tx_epoch;
-        let req_num = c.req_num;
         let t = sess.cc.next_tx_ns.max(now);
         sess.cc.next_tx_ns = (t + (bytes as f64 * ns_per_byte(rate)) as u64).min(now + horizon);
+        self.stats.pkts_paced += 1;
         if t <= now {
-            self.stats.pkts_paced += 1;
-            self.tx_client_seq(sess_idx, slot_idx, seq);
+            self.queue_tx(TxDesc::Client(r));
         } else {
-            self.stats.pkts_paced += 1;
-            self.wheel.insert(
-                t,
-                WheelEntry {
-                    sess: sess_idx,
-                    slot: slot_idx as u8,
-                    req_num,
-                    epoch: slot_epoch,
-                    seq,
-                },
-            );
+            self.wheel.insert(t, r);
         }
-    }
-
-    /// Queue TX sequence `seq` of a client slot: request packet `seq` when
-    /// `seq < N`, otherwise the RFR for response packet `seq − N + 1`. The
-    /// descriptor carries (req_num, epoch) so rollback or completion before
-    /// the batch drains invalidates it.
-    fn tx_client_seq(&mut self, sess_idx: u16, slot_idx: usize, seq: u32) {
-        let (req_num, epoch) = {
-            let Some(sess) = self.sessions[sess_idx as usize].as_ref() else {
-                Self::invariant_breach(&mut self.stats, "tx_client_seq on missing session");
-                return;
-            };
-            let c = sess.slots[slot_idx].client();
-            (c.req_num, c.tx_epoch)
-        };
-        self.queue_tx(TxDesc::ClientSeq {
-            sess: sess_idx,
-            slot: slot_idx as u8,
-            req_num,
-            epoch,
-            seq,
-        });
     }
 
     // ── Pacing wheel ───────────────────────────────────────────────────
@@ -747,11 +443,10 @@ impl<T: Transport> Rpc<T> {
         let mut scratch = std::mem::take(&mut self.wheel_scratch);
         self.wheel.reap(now, |e| scratch.push(e));
         for e in scratch.drain(..) {
-            // Validate against slot state: stale epochs (rollback) and
-            // reused slots are silently skipped (same rule as the deferred
-            // TX queue's drain).
-            if self.client_pkt_valid(e.sess, e.slot, e.req_num, e.epoch, e.seq) {
-                self.tx_client_seq(e.sess, e.slot as usize, e.seq);
+            // Stale epochs (rollback) and reused slots are silently
+            // skipped (same rule as the deferred TX queue's drain).
+            if Self::client_seq_slot(&mut self.sessions, e).is_some() {
+                self.queue_tx(TxDesc::Client(e));
             }
         }
         self.wheel_scratch = scratch;

@@ -26,14 +26,21 @@ pub struct RpcStats {
     /// Received packets dropped as stale/out-of-order (§5.3 treats
     /// reordering as loss).
     pub rx_dropped_stale: u64,
-    /// Data packets fully handled by the §5.2 common-case fast path
-    /// (in-order single-packet request/response on a healthy session,
-    /// zero-decode dispatch, response enqueued in the same pass).
+    /// Data packets that took the §5.2 straight-line case of their RX
+    /// routine: a new single-packet request run inline on the RX ring by
+    /// a dispatch-mode handler (response queued in the same pass), or the
+    /// first-and-only packet of a response that fit the app's buffer.
+    /// Counted in `process_one_pkt` (`rpc/rx.rs`), the one classification
+    /// point: each routine reports which case the packet took.
     pub fast_path_hits: u64,
-    /// Packets that entered the cold general path (multi-packet, reorder,
-    /// retransmit, management, or `opt_hdr_template` off). With the fast
-    /// path on, `fast_path_hits / (fast_path_hits + slow_path_entries)`
-    /// is the steady-state hit rate — the bench smoke run asserts ≥99%.
+    /// Every other packet that passed the dispatcher's validity check:
+    /// multi-packet, duplicate, reordered or stale data packets, requests
+    /// for worker-mode or unknown handlers (or with `opt_zero_copy_rx`
+    /// off), credit returns, RFRs, management. Counted at the same point,
+    /// so `fast_path_hits + slow_path_entries` is exactly the packets
+    /// that parsed, and `fast_path_hits / (fast_path_hits +
+    /// slow_path_entries)` is the steady-state common-case share — the
+    /// bench smoke run asserts ≥99%.
     pub slow_path_entries: u64,
     /// Go-back-N rollbacks (retransmission events).
     pub retransmissions: u64,

@@ -110,13 +110,14 @@ fn pipelined_load_produces_real_batches() {
     assert!(server.stats().tx_batch_hist.mean() > 1.0);
 }
 
-/// With `opt_tx_batching` off (the Table 3 ablation) every packet is its
-/// own burst: one doorbell per packet, mean batch exactly 1.
+/// With `tx_batch: 1` (the "transmit batching off" ablation of tab3)
+/// every packet is its own burst: one doorbell per packet, mean batch
+/// exactly 1.
 #[test]
 fn batching_disabled_is_one_doorbell_per_packet() {
     let f = fabric(0.0, 12);
     let cfg = RpcConfig {
-        opt_tx_batching: false,
+        tx_batch: 1,
         ..fast_cfg()
     };
     let mut server = Rpc::new(f.create_transport(Addr::new(0, 0)), cfg.clone());

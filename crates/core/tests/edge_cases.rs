@@ -465,3 +465,73 @@ fn session_info_reflects_state() {
         server.run_event_loop_once();
     }
 }
+
+// ── `RpcConfig` is validated once, in `Rpc::new` ────────────────────────
+
+fn new_rpc_with(cfg: RpcConfig) -> TestRpc {
+    let fabric = MemFabric::new(MemFabricConfig::default());
+    Rpc::new(fabric.create_transport(Addr::new(0, 0)), cfg)
+}
+
+#[test]
+#[should_panic(expected = "session_credits must be >= 1")]
+fn zero_session_credits_rejected() {
+    // `session_limit()` divides by it.
+    new_rpc_with(RpcConfig {
+        session_credits: 0,
+        ..cfg()
+    });
+}
+
+#[test]
+#[should_panic(expected = "slots_per_session must be in 1..=255")]
+fn zero_slots_per_session_rejected() {
+    new_rpc_with(RpcConfig {
+        slots_per_session: 0,
+        ..cfg()
+    });
+}
+
+#[test]
+#[should_panic(expected = "slots_per_session must be in 1..=255")]
+fn slots_per_session_beyond_u8_rejected() {
+    // 256 travels as `num_slots: 0u8` in the ConnectReq and connects to
+    // nobody; 300 would truncate to 44 silently.
+    new_rpc_with(RpcConfig {
+        slots_per_session: 256,
+        ..cfg()
+    });
+}
+
+#[test]
+#[should_panic(expected = "rx_batch must be >= 1")]
+fn zero_rx_batch_rejected() {
+    // Would never receive a packet.
+    new_rpc_with(RpcConfig {
+        rx_batch: 0,
+        ..cfg()
+    });
+}
+
+#[test]
+#[should_panic(expected = "tx_batch must be >= 1")]
+fn zero_tx_batch_rejected() {
+    new_rpc_with(RpcConfig {
+        tx_batch: 0,
+        ..cfg()
+    });
+}
+
+#[test]
+fn extreme_valid_slot_counts_accepted() {
+    for slots_per_session in [1, 255] {
+        let fabric = MemFabric::new(MemFabricConfig::default());
+        let c = RpcConfig {
+            slots_per_session,
+            ..cfg()
+        };
+        let mut server = echo_server(&fabric, 0, c.clone());
+        let mut client = Rpc::new(fabric.create_transport(Addr::new(1, 0)), c);
+        connect(&mut client, &mut server, Addr::new(0, 0));
+    }
+}

@@ -14,7 +14,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use erpc::mgmt::{ConnectReq, ConnectResp};
-use erpc::{CcAlgorithm, PktHdr, PktType, Rpc, RpcConfig, PKT_HDR_SIZE};
+use erpc::{CcAlgorithm, PktHdr, PktType, Rpc, RpcConfig, SessionHandle, PKT_HDR_SIZE};
 use erpc_transport::{Addr, MemFabric, MemFabricConfig, MemTransport, Transport, TxPacket};
 
 fn cfg() -> RpcConfig {
@@ -71,6 +71,59 @@ fn pump_until(
     panic!("fake peer never saw the expected packet");
 }
 
+/// Connect the fake peer to `server` as a client (8 slots, 32 credits);
+/// returns the server's session number.
+fn fake_client_connect(server: &mut Rpc<MemTransport>, fake: &mut MemTransport) -> u16 {
+    let mut creq_body = Vec::new();
+    ConnectReq {
+        client_addr: fake.addr(),
+        client_session: 0,
+        credits: 32,
+        num_slots: 8,
+        incarnation: 7,
+    }
+    .encode(&mut creq_body);
+    send(
+        fake,
+        server.addr(),
+        &PktHdr::control(PktType::ConnectReq, u16::MAX, 0, 0),
+        &creq_body,
+    );
+    let pkts = pump_until(server, fake, |h| h.pkt_type == PktType::ConnectResp);
+    let (_, body) = pkts
+        .iter()
+        .find(|(h, _)| h.pkt_type == PktType::ConnectResp)
+        .unwrap();
+    let cresp = ConnectResp::decode(body).unwrap();
+    assert!(cresp.ok);
+    cresp.server_session
+}
+
+/// Have `client` open a session to the fake peer, which accepts it as its
+/// session 42.
+fn fake_server_accept(client: &mut Rpc<MemTransport>, fake: &mut MemTransport) -> SessionHandle {
+    let sess = client.create_session(fake.addr()).unwrap();
+    let pkts = pump_until(client, fake, |h| h.pkt_type == PktType::ConnectReq);
+    let creq = ConnectReq::decode(&pkts[0].1).unwrap();
+    let mut resp_body = Vec::new();
+    ConnectResp {
+        client_session: creq.client_session,
+        server_session: 42,
+        ok: true,
+    }
+    .encode(&mut resp_body);
+    send(
+        fake,
+        client.addr(),
+        &PktHdr::control(PktType::ConnectResp, u16::MAX, 0, 0),
+        &resp_body,
+    );
+    while !client.is_connected(sess) {
+        client.run_event_loop_once();
+    }
+    sess
+}
+
 /// Forged *response* packets at a real client: oversized first packet,
 /// then (multi-packet flow) an oversized continuation packet that used to
 /// index out of the response buffer's backing allocation.
@@ -81,29 +134,7 @@ fn client_drops_forged_response_payloads() {
     let fake_addr = Addr::new(9, 0);
     let mut fake = fabric.create_transport(fake_addr);
 
-    // Handshake: accept the client's session as our session 42.
-    let sess = client.create_session(fake_addr).unwrap();
-    let pkts = pump_until(&mut client, &mut fake, |h| {
-        h.pkt_type == PktType::ConnectReq
-    });
-    let (_, body) = &pkts[0];
-    let creq = ConnectReq::decode(body).unwrap();
-    let mut resp_body = Vec::new();
-    ConnectResp {
-        client_session: creq.client_session,
-        server_session: 42,
-        ok: true,
-    }
-    .encode(&mut resp_body);
-    send(
-        &mut fake,
-        client.addr(),
-        &PktHdr::control(PktType::ConnectResp, u16::MAX, 0, 0),
-        &resp_body,
-    );
-    while !client.is_connected(sess) {
-        client.run_event_loop_once();
-    }
+    let sess = fake_server_accept(&mut client, &mut fake);
 
     // One 32 B request; response buffer sized for a 1500 B response.
     let mut req = client.alloc_msg_buffer(32);
@@ -195,47 +226,20 @@ fn client_drops_forged_response_payloads() {
     assert_eq!(done.get(), Some(1500), "call completes after recovery");
 }
 
-/// Fast-path up-front check (§5.2): with `opt_hdr_template` on (the
-/// default), malformed packets — bad magic, short header, unknown type,
-/// payload inconsistent with the header — are rejected by the dispatcher's
-/// single validity check or the fast path's entry conditions, land in
-/// `rx_dropped_stale`, and never count as fast-path hits; a well-formed
-/// request right after still takes the fast path.
+/// Up-front checks (§5.2): malformed packets — bad magic, short header,
+/// unknown type, payload inconsistent with the header — are rejected by
+/// the dispatcher's single validity check or the request routine's
+/// checks-before-commit, land in `rx_dropped_stale`, and never count as
+/// straight-line hits; a well-formed request right after still does.
 #[test]
 fn malformed_packets_dropped_by_fast_path_upfront_check() {
     let fabric = MemFabric::new(MemFabricConfig::default());
     let mut server = Rpc::new(fabric.create_transport(Addr::new(0, 0)), cfg());
-    assert!(server.config().opt_hdr_template, "fast path must be on");
     server.register_request_handler(3, Box::new(|ctx, req| ctx.respond(req)));
     let fake_addr = Addr::new(9, 0);
     let mut fake = fabric.create_transport(fake_addr);
 
-    // Handshake from the fake client.
-    let mut creq_body = Vec::new();
-    ConnectReq {
-        client_addr: fake_addr,
-        client_session: 0,
-        credits: 32,
-        num_slots: 8,
-        incarnation: 7,
-    }
-    .encode(&mut creq_body);
-    send(
-        &mut fake,
-        server.addr(),
-        &PktHdr::control(PktType::ConnectReq, u16::MAX, 0, 0),
-        &creq_body,
-    );
-    let srv_sess = loop {
-        server.run_event_loop_once();
-        let pkts = recv_all(&mut fake);
-        if let Some((_, body)) = pkts
-            .iter()
-            .find(|(h, _)| h.pkt_type == PktType::ConnectResp)
-        {
-            break ConnectResp::decode(body).unwrap().server_session;
-        }
-    };
+    let srv_sess = fake_client_connect(&mut server, &mut fake);
 
     let good = PktHdr {
         pkt_type: PktType::Req,
@@ -288,12 +292,10 @@ fn malformed_packets_dropped_by_fast_path_upfront_check() {
     );
     assert_eq!(server.stats().handlers_invoked, 0);
 
-    // A well-formed request right after is served — on the fast path. A
-    // fresh req_num (slot 1): the inconsistent-length packet above carried
-    // a valid header, so it legitimately moved slot 0 into `Receiving`
-    // before its payload check dropped it, and that slot now rightly
-    // belongs to the general path.
-    let good2 = PktHdr { req_num: 1, ..good };
+    // A well-formed request right after is served — straight-line, and on
+    // the very slot the inconsistent-length packet named: that packet was
+    // dropped before it could claim anything.
+    let good2 = good;
     send(&mut fake, server.addr(), &good2, &[0xAB; 8]);
     loop {
         server.run_event_loop_once();
@@ -328,34 +330,7 @@ fn server_drops_forged_request_payloads() {
     let fake_addr = Addr::new(9, 0);
     let mut fake = fabric.create_transport(fake_addr);
 
-    // Handshake from the fake client.
-    let mut creq_body = Vec::new();
-    ConnectReq {
-        client_addr: fake_addr,
-        client_session: 0,
-        credits: 32,
-        num_slots: 8,
-        incarnation: 7,
-    }
-    .encode(&mut creq_body);
-    send(
-        &mut fake,
-        server.addr(),
-        &PktHdr::control(PktType::ConnectReq, u16::MAX, 0, 0),
-        &creq_body,
-    );
-    let srv_sess = loop {
-        server.run_event_loop_once();
-        let pkts = recv_all(&mut fake);
-        if let Some((_, body)) = pkts
-            .iter()
-            .find(|(h, _)| h.pkt_type == PktType::ConnectResp)
-        {
-            let cresp = ConnectResp::decode(body).unwrap();
-            assert!(cresp.ok);
-            break cresp.server_session;
-        }
-    };
+    let srv_sess = fake_client_connect(&mut server, &mut fake);
 
     // Single-packet request with payload ≠ msg_size (both directions).
     let req_hdr = PktHdr {
@@ -422,4 +397,143 @@ fn server_drops_forged_request_payloads() {
         1500,
         "handler saw the fully assembled 1500 B request"
     );
+}
+
+/// Slot takeover (regression): a peer sends packet 0 of a 3-packet request
+/// and then — without finishing it — a higher-numbered *single-packet*
+/// request of exactly one packet's worth of bytes on the same slot. The
+/// abandoned assembly buffer used to stay in the slot: the new packet
+/// passed its length check against the *old* buffer and the handler was
+/// handed that buffer (2500 B, partly unwritten pooled memory) instead of
+/// the request's own payload. The new request number must take the slot
+/// clean, and the abandoned buffer must go back to the pool.
+#[test]
+fn new_request_takes_over_a_half_assembled_slot() {
+    let fabric = MemFabric::new(MemFabricConfig::default());
+    let mut server = Rpc::new(fabric.create_transport(Addr::new(0, 0)), cfg());
+    let dpp = server.data_per_pkt();
+    let seen: Rc<std::cell::RefCell<Vec<Vec<u8>>>> = Rc::default();
+    let seen2 = seen.clone();
+    server.register_request_handler(
+        3,
+        Box::new(move |ctx, req| {
+            seen2.borrow_mut().push(req.to_vec());
+            ctx.respond(req);
+        }),
+    );
+    let mut fake = fabric.create_transport(Addr::new(9, 0));
+    let srv_sess = fake_client_connect(&mut server, &mut fake);
+
+    // Slot 0 carries request numbers 0, 8, 16, …: each round abandons a
+    // 3-packet request after its first packet, then takes the slot over.
+    let mut allocs_after_first_round = 0;
+    for round in 0..4u64 {
+        let abandoned = PktHdr {
+            pkt_type: PktType::Req,
+            ecn: false,
+            req_type: 3,
+            dest_session: srv_sess,
+            msg_size: 2500,
+            req_num: round * 16,
+            pkt_num: 0,
+        };
+        send(&mut fake, server.addr(), &abandoned, &vec![0xAA; dpp]);
+        pump_until(&mut server, &mut fake, |h| {
+            h.pkt_type == PktType::CreditReturn
+        });
+
+        let takeover = PktHdr {
+            msg_size: dpp as u32,
+            req_num: round * 16 + 8,
+            ..abandoned
+        };
+        let payload = vec![0xB0 + round as u8; dpp];
+        send(&mut fake, server.addr(), &takeover, &payload);
+        let pkts = pump_until(&mut server, &mut fake, |h| h.pkt_type == PktType::Resp);
+        let (h, body) = pkts
+            .iter()
+            .find(|(h, _)| h.pkt_type == PktType::Resp)
+            .unwrap();
+        assert_eq!(h.req_num, takeover.req_num);
+        // (`assert!`, not `assert_eq!`: a failure must not dump 2 × 1 kB.)
+        assert!(body == &payload, "echo of the second request, nothing else");
+        assert!(
+            seen.borrow().last() == Some(&payload),
+            "handler must see exactly the second request's payload"
+        );
+        if round == 0 {
+            allocs_after_first_round = server.stats().pool_allocs_new;
+        }
+    }
+    assert_eq!(seen.borrow().len(), 4, "one handler run per takeover");
+    assert_eq!(server.stats().rx_invariant_breach, 0);
+    assert_eq!(
+        server.stats().pool_allocs_new,
+        allocs_after_first_round,
+        "abandoned assembly buffers must recycle through the pool"
+    );
+}
+
+/// A response that arrives before the request was fully transmitted
+/// answers something the client never sent: a misbehaving server must not
+/// be able to complete the RPC with it, let alone be credited for the
+/// untransmitted packets (which used to mint credits beyond `C`).
+#[test]
+fn early_response_cannot_mint_credits() {
+    let fabric = MemFabric::new(MemFabricConfig::default());
+    let mut client = Rpc::new(fabric.create_transport(Addr::new(1, 0)), cfg());
+    let fake_addr = Addr::new(9, 0);
+    let mut fake = fabric.create_transport(fake_addr);
+    let sess = fake_server_accept(&mut client, &mut fake);
+
+    // A 40-packet request under C = 32: the first window is 32 packets.
+    let size = 40 * client.data_per_pkt();
+    let mut req = client.alloc_msg_buffer(size);
+    req.resize(size);
+    let resp = client.alloc_msg_buffer(64);
+    let done: Rc<Cell<Option<usize>>> = Rc::new(Cell::new(None));
+    let done2 = done.clone();
+    client
+        .enqueue_request(sess, 3, req, resp, move |ctx, comp| {
+            comp.result.expect("rpc must succeed");
+            done2.set(Some(comp.resp.len()));
+            ctx.free_msg_buffer(comp.req);
+            ctx.free_msg_buffer(comp.resp);
+        })
+        .unwrap();
+    pump_until(&mut client, &mut fake, |h| h.pkt_type == PktType::Req);
+    assert_eq!(client.session_credits_available(sess), Some(0));
+
+    let early = PktHdr {
+        pkt_type: PktType::Resp,
+        ecn: false,
+        req_type: 3,
+        dest_session: sess.num(),
+        msg_size: 8,
+        req_num: 0,
+        pkt_num: 0,
+    };
+    let dropped_before = client.stats().rx_dropped_stale;
+    send(&mut fake, client.addr(), &early, &[1; 8]);
+    for _ in 0..10 {
+        client.run_event_loop_once();
+    }
+    assert!(done.get().is_none(), "8 of 40 packets were never sent");
+    assert_eq!(client.stats().rx_dropped_stale, dropped_before + 1);
+    assert_eq!(client.session_credits_available(sess), Some(0));
+
+    // The protocol proper still completes the call: a cumulative CR for
+    // the first window releases the last 8 packets, then the response.
+    let cr = PktHdr::control(PktType::CreditReturn, sess.num(), 0, 31);
+    send(&mut fake, client.addr(), &cr, &[]);
+    for _ in 0..10 {
+        client.run_event_loop_once();
+    }
+    send(&mut fake, client.addr(), &early, &[1; 8]);
+    for _ in 0..10 {
+        client.run_event_loop_once();
+    }
+    assert_eq!(done.get(), Some(8));
+    assert_eq!(client.session_credits_available(sess), Some(32));
+    assert_eq!(client.stats().rx_invariant_breach, 0);
 }

@@ -46,9 +46,8 @@ fn install_echo<T: erpc_transport::Transport>(server: &mut Rpc<T>) {
 
 /// Multi-packet requests and responses through a dup+reorder+drop fault
 /// profile on both directions: go-back-N must converge with exactly-once
-/// completions and zero protocol-invariant breaches, whether the header
-/// template fast path is on or off.
-fn rto_go_back_n_multi_packet(opt_hdr_template: bool, seed: u64) {
+/// completions and zero protocol-invariant breaches.
+fn rto_go_back_n_multi_packet(seed: u64) {
     let f = fabric();
     let fcfg = FaultConfig {
         seed,
@@ -59,10 +58,7 @@ fn rto_go_back_n_multi_packet(opt_hdr_template: bool, seed: u64) {
         corrupt_prob: 0.01,
         extra_latency_ns: 0,
     };
-    let cfg = RpcConfig {
-        opt_hdr_template,
-        ..fast_cfg()
-    };
+    let cfg = fast_cfg();
     let mut server = Rpc::new(
         FaultTransport::new(f.create_transport(SERVER), fcfg.clone()),
         cfg.clone(),
@@ -136,13 +132,97 @@ fn rto_go_back_n_multi_packet(opt_hdr_template: bool, seed: u64) {
 }
 
 #[test]
-fn rto_go_back_n_multi_packet_dup_reorder_template_on() {
-    rto_go_back_n_multi_packet(true, 0x60BA_C401);
+fn rto_go_back_n_multi_packet_dup_reorder_seed_1() {
+    rto_go_back_n_multi_packet(0x60BA_C401);
 }
 
 #[test]
-fn rto_go_back_n_multi_packet_dup_reorder_template_off() {
-    rto_go_back_n_multi_packet(false, 0x60BA_C402);
+fn rto_go_back_n_multi_packet_dup_reorder_seed_2() {
+    rto_go_back_n_multi_packet(0x60BA_C402);
+}
+
+/// Counter conservation: every received packet is counted exactly once —
+/// rejected by the dispatcher's one validity check, or classified as a
+/// straight-line hit or a general-path entry at the one classification
+/// point — across single- and multi-packet RPCs, loss-driven go-back-N,
+/// duplicates, and one malformed packet per endpoint.
+#[test]
+fn rx_classification_counters_are_conserved() {
+    use erpc_transport::{Transport, TxPacket};
+    let f = fabric();
+    let fcfg = FaultConfig {
+        seed: 0xC0_5E47,
+        drop_prob: 0.03,
+        dup_prob: 0.03,
+        reorder_prob: 0.0,
+        reorder_delay_ns: 0,
+        corrupt_prob: 0.0,
+        extra_latency_ns: 0,
+    };
+    let mut server = Rpc::new(
+        FaultTransport::new(f.create_transport(SERVER), fcfg.clone()),
+        fast_cfg(),
+    );
+    install_echo(&mut server);
+    let mut client = Rpc::new(
+        FaultTransport::new(f.create_transport(CLIENT), fcfg),
+        fast_cfg(),
+    );
+    let sess = client.create_session(SERVER).unwrap();
+    let t0 = Instant::now();
+    while !client.is_connected(sess) {
+        client.run_event_loop_once();
+        server.run_event_loop_once();
+        assert!(t0.elapsed().as_secs() < 10, "connect stalled");
+    }
+
+    // One malformed packet (bad magic) at each endpoint, from a third party.
+    let mut stranger = f.create_transport(Addr::new(7, 0));
+    for dst in [SERVER, CLIENT] {
+        stranger.tx_burst(&[TxPacket {
+            dst,
+            hdr: &[0u8; 16],
+            data: &[],
+        }]);
+    }
+
+    let ok = Rc::new(Cell::new(0usize));
+    const TOTAL: usize = 60;
+    for i in 0..TOTAL {
+        // Alternate straight-line (32 B) and multi-packet (5000 B) RPCs.
+        let size = if i % 2 == 0 { 32 } else { 5000 };
+        let mut req = client.alloc_msg_buffer(size);
+        req.resize(size);
+        let resp = client.alloc_msg_buffer(size);
+        let ok2 = ok.clone();
+        let cont = move |_ctx: &mut erpc::ContContext<'_>, comp: erpc::Completion| {
+            assert_eq!(comp.result, Ok(()));
+            ok2.set(ok2.get() + 1);
+        };
+        client.enqueue_request(sess, ECHO, req, resp, cont).unwrap();
+        while ok.get() <= i {
+            client.run_event_loop_once();
+            server.run_event_loop_once();
+            assert!(
+                t0.elapsed().as_secs() < 30,
+                "stalled at {}/{TOTAL}",
+                ok.get()
+            );
+        }
+    }
+    assert!(client.stats().retransmissions > 0, "loss never exercised");
+    for (name, rpc) in [("client", &client), ("server", &server)] {
+        let s = rpc.stats();
+        assert!(s.fast_path_hits > 0 && s.slow_path_entries > 0, "{name}");
+        assert_eq!(
+            s.fast_path_hits + s.slow_path_entries + 1,
+            s.pkts_rx,
+            "{name}: fast {} + slow {} + 1 malformed != pkts_rx",
+            s.fast_path_hits,
+            s.slow_path_entries
+        );
+        assert_eq!(s.rx_invariant_breach, 0, "{name}");
+    }
 }
 
 // ── Peer-crash recovery: incarnation ids ───────────────────────────────
