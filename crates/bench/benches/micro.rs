@@ -2,13 +2,16 @@
 //! msgbuf pool, timing wheel, packet ring, Timely, and the stores —
 //! plus the per-RPC allocation/copy accounting rows (the binary registers
 //! the counting global allocator, so `rpc_path_costs` measures real heap
-//! traffic per small RPC on the dispatch, worker, and Channel paths).
+//! traffic per small RPC on the dispatch, worker, and Channel paths) and
+//! the issue-path ledger (ns per enqueue / completion / CR at 1, 8 and 64
+//! slots per session).
 //!
 //! These are sanity gauges for the common-case-optimization story (§4/§5):
 //! everything on the per-packet path should be tens of nanoseconds, and
 //! steady state should allocate nothing.
 
 use std::cell::{Cell, RefCell};
+use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use erpc::alloc_count::{snapshot, CountingAlloc};
@@ -18,6 +21,9 @@ use erpc::{CcAlgorithm, Completion, ContContext, MsgBuf, Rpc, RpcConfig, Session
 use erpc_congestion::{Timely, TimelyConfig, TimingWheel};
 use erpc_store::{Masstree, Mica};
 use erpc_transport::{Addr, MemFabric, MemFabricConfig, MemTransport, PacketRing, TxPacket};
+
+#[path = "../../core/tests/fake_peer/mod.rs"]
+mod fake_peer;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -341,12 +347,213 @@ per-RPC datapath cost (32 B echo, {PATH_MEASURE} RPCs after {PATH_WARMUP} warmup
     assert_eq!(worker.0, 0.0, "worker path must not allocate");
 }
 
+// ── Issue-path ledger (slot scheduling, DESIGN.md § "Slot scheduling") ──
+
+/// A scripted server on a raw `MemTransport` (the test suites' fake peer):
+/// remembers the request numbers it has seen, answers on demand.
+struct FakeServer {
+    t: MemTransport,
+    client: Addr,
+    client_sess: u16,
+    /// Request numbers received and not yet answered.
+    seen: Vec<u64>,
+}
+
+impl FakeServer {
+    /// Drain the ring, noting first request packets.
+    fn recv(&mut self) {
+        let pkts = fake_peer::recv_all(&mut self.t);
+        let first = pkts
+            .iter()
+            .filter(|(h, _)| h.pkt_type == PktType::Req && h.pkt_num == 0);
+        self.seen.extend(first.map(|(h, _)| h.req_num));
+    }
+
+    /// Answer the oldest `n` requests seen with an 8 B response.
+    fn respond(&mut self, n: usize) {
+        for req_num in self.seen.drain(..n) {
+            let hdr = PktHdr {
+                pkt_type: PktType::Resp,
+                ecn: false,
+                req_type: PATH_ECHO,
+                dest_session: self.client_sess,
+                msg_size: 8,
+                req_num,
+                pkt_num: 0,
+            };
+            fake_peer::send(&mut self.t, self.client, &hdr, &[0; 8]);
+        }
+    }
+}
+
+thread_local! {
+    static LEDGER_FREE: RefCell<Vec<(MsgBuf, MsgBuf)>> = const { RefCell::new(Vec::new()) };
+}
+
+fn ledger_cont(_ctx: &mut ContContext<'_>, comp: Completion) {
+    DONE.with(|c| c.set(c.get() + 1));
+    LEDGER_FREE.with(|f| f.borrow_mut().push((comp.req, comp.resp)));
+}
+
+fn ledger_enqueue(client: &mut Rpc<MemTransport>, sess: SessionHandle) {
+    let (req, resp) = LEDGER_FREE.with(|f| f.borrow_mut().pop()).unwrap();
+    client
+        .enqueue_request(sess, PATH_ECHO, req, resp, ledger_cont)
+        .unwrap();
+}
+
+/// ns per operation of the issue path at 1, 8 and 64 slots per session —
+/// the point being that none of them depends on the slot count: a request
+/// enqueued into the one free slot of an otherwise busy session, a request
+/// enqueued with every slot busy (it waits), a completion that hands its
+/// slot to the backlog head (one pass over a burst of responses, per
+/// response), and a credit return that lets a 40-packet request send its
+/// next packet (per CR). A scripted server keeps the client side alone on
+/// the clock; each figure includes its share of the pass's `rx_burst` and
+/// TX flush; the one-free-slot enqueue is timed call by call, with the
+/// `Instant` overhead subtracted.
+fn issue_path_ledger() {
+    const ROUNDS: usize = 400;
+    const BACKLOG: usize = 32;
+    println!("\nissue path, ns per operation (scripted server, {ROUNDS} rounds):");
+    println!(
+        "{:<6} {:>18} {:>18} {:>22} {:>16}",
+        "slots", "enqueue, 1 free", "enqueue, all busy", "completion+promotion", "CR-driven kick"
+    );
+    let timer_ns = {
+        let t0 = Instant::now();
+        for _ in 0..100_000 {
+            black_box(Instant::now());
+        }
+        t0.elapsed().as_nanos() as f64 / 100_000.0
+    };
+    for slots in [1usize, 8, 64] {
+        // Credits for every slot's packet, so that the slots, not the
+        // credits, are what a waiting request waits for.
+        let (mut client, mut srv, sess) = ledger_rig(slots, 2 * slots as u32);
+        LEDGER_FREE.with(|f| {
+            let mut f = f.borrow_mut();
+            f.clear();
+            for _ in 0..slots + BACKLOG {
+                f.push((client.alloc_msg_buffer(32), client.alloc_msg_buffer(32)));
+            }
+        });
+        let (mut free_ns, mut busy_ns, mut promo_ns, mut cr_ns) = (0.0f64, 0u128, 0u128, 0u128);
+        let (mut promos, mut crs) = (0u64, 0u64);
+        for _ in 0..slots {
+            ledger_enqueue(&mut client, sess);
+        }
+        for _ in 0..ROUNDS {
+            // Every slot busy: these wait.
+            let t0 = Instant::now();
+            for _ in 0..BACKLOG {
+                ledger_enqueue(&mut client, sess);
+            }
+            busy_ns += t0.elapsed().as_nanos();
+            // Completions, each handing its slot to the backlog head.
+            loop {
+                client.run_event_loop_once();
+                srv.recv();
+                let waiting = client.session_info(sess).unwrap().backlogged;
+                if waiting == 0 {
+                    break;
+                }
+                let n = waiting.min(srv.seen.len());
+                srv.respond(n);
+                let t0 = Instant::now();
+                client.run_event_loop_once();
+                promo_ns += t0.elapsed().as_nanos();
+                promos += n as u64;
+            }
+            // One slot free, the rest busy: straight into the slot.
+            srv.respond(1);
+            client.run_event_loop_once();
+            let t0 = Instant::now();
+            ledger_enqueue(&mut client, sess);
+            free_ns += t0.elapsed().as_nanos() as f64 - timer_ns;
+        }
+        assert_eq!(client.stats().retransmissions, 0);
+        // One 40-packet request at a time on an otherwise idle session of
+        // 32 credits: 32 packets leave at once, CRs release the rest.
+        let (mut client, mut srv, sess) = ledger_rig(slots, 32);
+        let big = 40 * client.data_per_pkt();
+        let mut big_pair = Some((client.alloc_msg_buffer(big), client.alloc_msg_buffer(32)));
+        for _ in 0..ROUNDS {
+            let (mut req, resp) = big_pair.take().unwrap();
+            req.resize(big);
+            let req_num = {
+                client
+                    .enqueue_request(sess, PATH_ECHO, req, resp, |_ctx, comp| {
+                        PAIR.with(|p| *p.borrow_mut() = Some((comp.req, comp.resp)));
+                    })
+                    .unwrap();
+                client.run_event_loop_once();
+                srv.recv();
+                srv.seen.pop().unwrap()
+            };
+            for burst in [0..32u16, 32..39] {
+                for pkt in burst.clone() {
+                    let cr = PktHdr::control(PktType::CreditReturn, srv.client_sess, req_num, pkt);
+                    fake_peer::send(&mut srv.t, srv.client, &cr, &[]);
+                }
+                let t0 = Instant::now();
+                client.run_event_loop_once();
+                cr_ns += t0.elapsed().as_nanos();
+                crs += burst.len() as u64;
+            }
+            srv.seen.push(req_num);
+            srv.respond(1);
+            client.run_event_loop_once();
+            srv.recv();
+            big_pair = PAIR.with(|p| p.borrow_mut().take());
+            assert!(big_pair.is_some(), "40-packet request completed");
+        }
+        assert_eq!(client.stats().retransmissions, 0);
+        println!(
+            "{:<6} {:>18.1} {:>18.1} {:>22.1} {:>16.1}",
+            slots,
+            free_ns / ROUNDS as f64,
+            busy_ns as f64 / (ROUNDS * BACKLOG) as f64,
+            promo_ns as f64 / promos as f64,
+            cr_ns as f64 / crs as f64
+        );
+    }
+}
+
+/// A client with one session of `slots` slots and `credits` credits to a
+/// scripted server.
+fn ledger_rig(slots: usize, credits: u32) -> (Rpc<MemTransport>, FakeServer, SessionHandle) {
+    let fabric = MemFabric::new(MemFabricConfig::default());
+    let cfg = RpcConfig {
+        slots_per_session: slots,
+        session_credits: credits,
+        // The script answers when it answers: no timed retransmissions.
+        rto_ns: 60_000_000_000,
+        opt_adaptive_rto: false,
+        ..path_cfg()
+    };
+    let mut client = Rpc::new(fabric.create_transport(Addr::new(1, 0)), cfg);
+    let mut t = fabric.create_transport(Addr::new(9, 0));
+    let sess = fake_peer::fake_server_accept(&mut client, &mut t);
+    let srv = FakeServer {
+        t,
+        client: client.addr(),
+        client_sess: sess.num(),
+        seen: Vec::new(),
+    };
+    (client, srv, sess)
+}
+
+fn bench_issue_path(_c: &mut Criterion) {
+    issue_path_ledger();
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default()
         .sample_size(20)
         .measurement_time(std::time::Duration::from_millis(500))
         .warm_up_time(std::time::Duration::from_millis(200));
-    targets = bench_pkthdr, bench_bufpool, bench_wheel, bench_ring, bench_timely, bench_stores, bench_rpc_path_costs
+    targets = bench_pkthdr, bench_bufpool, bench_wheel, bench_ring, bench_timely, bench_stores, bench_rpc_path_costs, bench_issue_path
 }
 criterion_main!(micro);

@@ -27,7 +27,10 @@ pub struct RpcConfig {
     /// Additional requests are transparently queued. 1..=255: the slot
     /// index travels as a `u8` (`Rpc::new` rejects anything else).
     pub slots_per_session: usize,
-    /// Per-session backlog bound for transparently queued requests.
+    /// Per-session bound on requests *waiting* for a slot (§4.3's
+    /// transparent queue); `enqueue_request` beyond it fails with
+    /// `BacklogFull`. A request that finds a free slot never counts: with
+    /// 0 a connected session still takes `slots_per_session` requests.
     pub backlog_cap: usize,
     /// Maximum message size (8 MB, the largest eRPC supports, §6.4).
     pub max_msg_size: usize,
@@ -50,7 +53,13 @@ pub struct RpcConfig {
     /// timing-wheel rate limiter for uncongested sessions.
     pub opt_rate_limiter_bypass: bool,
     /// §5.2.2 opt 3: read the clock once per RX/TX batch instead of once
-    /// per packet.
+    /// per packet — and once per batch of enqueues instead of once per
+    /// request: the first `enqueue_request` after an event-loop pass reads
+    /// the clock, and the requests enqueued before the next pass share
+    /// that stamp (requests enqueued from inside a pass use the pass's).
+    /// `Completion::latency_ns` of a later request of such a batch is
+    /// therefore measured from the first one's enqueue. Off: a fresh read
+    /// per packet and per request.
     pub opt_batched_timestamps: bool,
     /// §4.3: serve small responses from a per-slot preallocated msgbuf
     /// instead of the allocator.

@@ -99,5 +99,9 @@ pub use session::{SessionHandle, SessionState};
 pub use stats::{LatencyHistogram, RpcStats};
 pub use worker::WorkerFn;
 
+// Unit tests share `tests/fake_peer`, which names this crate from outside.
+#[cfg(test)]
+extern crate self as erpc;
+
 // Re-export the transport façade so applications need one import.
 pub use erpc_transport as transport;

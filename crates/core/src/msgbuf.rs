@@ -46,7 +46,8 @@ impl MsgBuf {
     }
 
     fn pkts_for(data_len: usize, data_per_pkt: usize) -> usize {
-        if data_len == 0 {
+        // The common case (§5.2) is a single packet: no division for it.
+        if data_len <= data_per_pkt {
             1
         } else {
             data_len.div_ceil(data_per_pkt)

@@ -14,7 +14,8 @@
 //! * [`mod@self`] — public API: construction, buffers, handlers, sessions,
 //!   request enqueue, and the event-loop driver.
 //! * `tx` — the egress datapath: the deferred TX batch (§4.3 transmit
-//!   batching), the pacing wheel (§5.2), and session pumping.
+//!   batching), the pacing wheel (§5.2), and slot scheduling
+//!   (`kick_session`).
 //! * `rx` — the ingress datapath: RX burst dispatch, the client and server
 //!   halves of the wire protocol (§5.1), and handler/continuation
 //!   invocation.
@@ -45,6 +46,8 @@
 //! one request number (at-most-once).
 
 mod rx;
+#[cfg(test)]
+mod sched_tests;
 mod sm;
 mod tx;
 
@@ -138,7 +141,11 @@ pub struct Completion {
     pub resp: MsgBuf,
     /// `Ok` or the failure reason (e.g. [`RpcError::RemoteFailure`]).
     pub result: Result<(), RpcError>,
-    /// Completion latency (enqueue → continuation), transport clock.
+    /// Completion latency (enqueue → continuation), transport clock. The
+    /// enqueue stamp is shared by the requests enqueued between two
+    /// event-loop passes (see [`RpcConfig::opt_batched_timestamps`]): it
+    /// is the first one's, so this overstates a later one's latency by at
+    /// most the time the application spent between those enqueues.
     pub latency_ns: u64,
     /// The session the request ran on.
     pub session: SessionHandle,
@@ -426,6 +433,12 @@ pub struct Rpc<T: Transport> {
     work: WorkCounts,
     /// Batched timestamp (§5.2.2 opt 3): refreshed once per loop pass.
     now_cache: u64,
+    /// The enqueue stamp requests share (§5.2.2 opt 3 extended to issue):
+    /// `now_cache` during a pass; cleared when the pass ends, so the first
+    /// enqueue after it reads the clock and the ones that follow, up to
+    /// the next pass, reuse that read. Always `None` with
+    /// `opt_batched_timestamps` off.
+    issue_stamp: Option<u64>,
     last_timer_scan_ns: u64,
     rx_tokens: Vec<RxToken>,
     /// Per-packet RTT samples (enabled by `record_rtt_samples`).
@@ -505,6 +518,7 @@ impl<T: Transport> Rpc<T> {
             stats: RpcStats::default(),
             work: WorkCounts::default(),
             now_cache: now,
+            issue_stamp: None,
             last_timer_scan_ns: now,
             rx_tokens: Vec::with_capacity(cfg.rx_batch),
             rtt_hist: crate::stats::LatencyHistogram::new(),
@@ -694,13 +708,16 @@ impl<T: Transport> Rpc<T> {
         // the app idled without polling the event loop, and a stale
         // `last_rx_ns` could trip the connect give-up timer instantly.
         let now = self.transport.now_ns();
-        let sess = Session::new_client(
+        let mut sess = Session::new_client(
             num,
             peer,
             self.cfg.session_credits,
             self.cfg.slots_per_session,
             now,
         );
+        // The backlog's first growth steps, paid here rather than by some
+        // later request that finds every slot busy.
+        sess.backlog.reserve(self.cfg.backlog_cap.min(64));
         self.sessions[num as usize] = Some(sess);
         self.live_session_count += 1;
         self.init_session_cc(num);
@@ -784,8 +801,9 @@ impl<T: Transport> Rpc<T> {
     /// continuation is returned *unfired* inside the [`EnqueueError`].
     ///
     /// If all slots are busy the request is transparently backlogged
-    /// (§4.3). Requests enqueued while the session is still connecting are
-    /// also backlogged and sent once the handshake completes.
+    /// (§4.3), up to `backlog_cap` waiting requests. Requests enqueued
+    /// while the session is still connecting are also backlogged and sent
+    /// once the handshake completes.
     pub fn enqueue_request(
         &mut self,
         h: SessionHandle,
@@ -831,27 +849,39 @@ impl<T: Transport> Rpc<T> {
             SessionState::Failed => return err(RpcError::RemoteFailure, req, resp, cont),
             SessionState::Disconnecting => return err(RpcError::Disconnected, req, resp, cont),
         }
-        if sess.backlog.len() >= self.cfg.backlog_cap {
+        // Straight into a free slot — unless requests already wait (FIFO:
+        // then every slot is busy) or the session is still connecting.
+        let direct = sess.state == SessionState::Connected && sess.backlog.is_empty();
+        let slot = direct.then(|| sess.free.pop_lowest()).flatten();
+        if slot.is_none() && sess.backlog.len() >= self.cfg.backlog_cap {
             return err(RpcError::BacklogFull, req, resp, cont);
         }
         sess.outstanding += 1;
         self.stats.requests_sent += 1;
-        // Fresh clock, not `now_cache`: enqueue is app-facing and may run
-        // arbitrarily long after the last event-loop pass; a stale stamp
-        // would fold application think-time into `Completion::latency_ns`.
-        // One clock read per *request* (not per packet) is outside the
-        // §5.2.2 batched-timestamp optimization's scope.
-        self.stats.clock_reads += 1;
-        let enqueue_ns = self.transport.now_ns();
-        sess.backlog.push_back(PendingReq {
+        // The enqueue stamp. Enqueue is app-facing and may run arbitrarily
+        // long after the last event-loop pass, so `now_cache` would fold
+        // application think-time into `Completion::latency_ns`; instead the
+        // first enqueue after a pass reads the clock and later ones share
+        // the read (§5.2.2's batching, applied to issue).
+        let enqueue_ns = self.issue_stamp.unwrap_or_else(|| {
+            self.stats.clock_reads += 1;
+            // lint:allow(hot-path-clock): the one read a batch of enqueues
+            // shares; one per request only with batching off.
+            self.transport.now_ns()
+        });
+        self.issue_stamp = self.cfg.opt_batched_timestamps.then_some(enqueue_ns);
+        let p = PendingReq {
             req_type,
             req,
             resp,
             cont,
             enqueue_ns,
-        });
-        if sess.state == SessionState::Connected {
-            self.pump_session(h.0);
+        };
+        if let Some(slot_idx) = slot {
+            Self::start_request(sess, slot_idx, p, self.now_cache);
+            self.kick_session(h.0);
+        } else {
+            sess.backlog.push_back(p);
         }
         Ok(())
     }
@@ -881,9 +911,11 @@ impl<T: Transport> Rpc<T> {
     /// One pass: RX burst → worker completions → pacing wheel → queued
     /// ops → timers → TX-batch flush.
     pub fn run_event_loop_once(&mut self) {
-        // Batched timestamp: one clock read per pass (§5.2.2 opt 3).
+        // Batched timestamp: one clock read per pass (§5.2.2 opt 3), also
+        // the stamp of requests enqueued from inside the pass.
         self.now_cache = self.transport.now_ns();
         self.stats.clock_reads += 1;
+        self.issue_stamp = self.cfg.opt_batched_timestamps.then_some(self.now_cache);
 
         self.process_rx();
         self.process_worker_completions();
@@ -898,6 +930,28 @@ impl<T: Transport> Rpc<T> {
         // leaves in one burst — one DMA doorbell per pass, not per packet.
         self.flush_tx_batch();
         self.sync_pool_stats();
+        self.issue_stamp = None;
+        if cfg!(debug_assertions) {
+            self.assert_slot_scheduling();
+        }
+    }
+
+    /// The slot scheduler's invariants, checked after every pass in debug
+    /// builds: the free set is exactly the inactive slots; a connected
+    /// session queues requests only while every slot is busy, and every
+    /// slot of it with packets still to send is in `wants_tx`.
+    fn assert_slot_scheduling(&self) {
+        let clients = self.sessions.iter().flatten();
+        for sess in clients.filter(|s| s.role == Role::Client) {
+            let live = sess.state == SessionState::Connected;
+            for (i, slot) in sess.slots.iter().enumerate() {
+                let c = slot.client();
+                let unsent = c.active && c.num_tx < c.tx_target();
+                assert_eq!(sess.free.contains(i), !c.active, "slot {i}: free set");
+                assert!(!live || c.active || sess.backlog.is_empty());
+                assert!(!live || !unsent || sess.wants_tx.contains(i));
+            }
+        }
     }
 
     /// Run the event loop for (at least) `duration_ns` of transport time.

@@ -151,16 +151,17 @@ impl<T: Transport> Rpc<T> {
         if sess.role != Role::Client || sess.state != SessionState::Connected {
             return None;
         }
-        let slot_idx = (req_num % sess.slots.len() as u64) as usize;
+        let slot_idx = sess.slot_of(req_num);
         let c = sess.slots[slot_idx].client();
         (c.active && c.req_num == req_num).then_some(slot_idx)
     }
 
     /// Consume client RX sequence `rx_seq` of a slot (a CR, or a response
-    /// packet): return the credits it acknowledges, advance `num_rx`, and
-    /// reset the retransmission state. Returns the RTT sample and whether
-    /// Karn's rule admits it (the window was never retransmitted since
-    /// its last progress — captured before the reset).
+    /// packet): return the credits it acknowledges, advance `num_rx`, reset
+    /// the retransmission state, and note that the slot may send again.
+    /// Returns the RTT sample and whether Karn's rule admits it (the
+    /// window was never retransmitted since its last progress — captured
+    /// before the reset).
     fn ack_rx_seq(sess: &mut Session, slot_idx: usize, rx_seq: u32, now: u64) -> (u64, bool) {
         let c = sess.slots[slot_idx].client_mut();
         let karn_ok = c.retries == 0;
@@ -168,6 +169,7 @@ impl<T: Transport> Rpc<T> {
         c.num_rx = rx_seq + 1;
         c.last_progress_ns = now;
         c.retries = 0;
+        sess.wants_tx.insert(slot_idx);
         (c.rtt_sample(rx_seq, now), karn_ok)
     }
 
@@ -177,15 +179,18 @@ impl<T: Transport> Rpc<T> {
         sess.last_rx_ns = self.now_cache;
         let slot_idx = Self::current_client_slot(sess, hdr.req_num)?;
         // A CR acknowledges request packet `pkt_num`; in-order fabrics make
-        // this cumulative. RX sequence for request pkt k is k.
+        // this cumulative. RX sequence for request pkt k is k — for all but
+        // the last packet, which response packet 0 acknowledges: a CR
+        // naming it is forged, and accepting it would make that response
+        // stale with nothing left in flight to time out.
         let rx_seq = hdr.pkt_num as u32;
         let c = sess.slots[slot_idx].client();
-        if rx_seq >= c.num_tx || rx_seq < c.num_rx || rx_seq >= c.req_total {
+        if rx_seq >= c.num_tx || rx_seq < c.num_rx || rx_seq + 1 >= c.req_total {
             return None;
         }
         let (rtt, karn_ok) = Self::ack_rx_seq(sess, slot_idx, rx_seq, now);
         self.cc_on_ack(hdr.dest_session, rtt, hdr.ecn, karn_ok, now);
-        self.pump_session(hdr.dest_session);
+        self.kick_session(hdr.dest_session);
         Some(false)
     }
 
@@ -249,7 +254,7 @@ impl<T: Transport> Rpc<T> {
         if done {
             self.complete_slot(dest, slot_idx, Ok(()));
         } else {
-            self.pump_session(dest);
+            self.kick_session(dest);
         }
         Some(straight)
     }
@@ -290,8 +295,9 @@ impl<T: Transport> Rpc<T> {
         }
     }
 
-    /// Complete a client slot: free it, advance its request number, and
-    /// invoke the continuation with buffer ownership.
+    /// Complete a client slot: free it, advance its request number, invoke
+    /// the continuation with buffer ownership, and let the session start
+    /// the backlog head in the slot just freed.
     pub(super) fn complete_slot(
         &mut self,
         sess_idx: u16,
@@ -317,6 +323,7 @@ impl<T: Transport> Rpc<T> {
         c.active = false;
         c.req_num += n_slots;
         c.tx_epoch = c.tx_epoch.wrapping_add(1); // kill any paced leftovers
+        sess.free.insert(slot_idx);
         sess.outstanding -= 1;
         match result {
             Ok(()) => self.stats.responses_completed += 1,
@@ -332,8 +339,8 @@ impl<T: Transport> Rpc<T> {
                 session: crate::session::SessionHandle(sess_idx),
             },
         );
-        // A slot freed: promote the backlog.
-        self.pump_session(sess_idx);
+        // A slot came free, and the final response packet returned credits.
+        self.kick_session(sess_idx);
     }
 
     /// Consume a continuation: `FnOnce` + move-out-of-slot means each
@@ -393,7 +400,7 @@ impl<T: Transport> Rpc<T> {
             return None;
         }
         let (peer, remote, credits) = (sess.peer, sess.remote_num, sess.credits);
-        let slot_idx = (req_num % sess.slots.len() as u64) as usize;
+        let slot_idx = sess.slot_of(req_num);
         let s = sess.slots[slot_idx].server_mut();
 
         if s.req_num == u64::MAX || req_num > s.req_num {
@@ -468,7 +475,7 @@ impl<T: Transport> Rpc<T> {
             // future-work optimization); the batch is capped at C/2 so the
             // client's credit window keeps sliding.
             let batch = self.cfg.cr_batch.clamp(1, (credits as usize / 2).max(1));
-            if (p as usize + 1).is_multiple_of(batch) {
+            if batch == 1 || (p as usize + 1).is_multiple_of(batch) {
                 let mut cr = PktHdr::control(PktType::CreditReturn, remote, req_num, p as u16);
                 cr.ecn = v.ecn();
                 self.tx_ctrl(peer, cr);
@@ -621,7 +628,7 @@ impl<T: Transport> Rpc<T> {
         if sess.role != Role::Server {
             return None;
         }
-        let slot_idx = (hdr.req_num % sess.slots.len() as u64) as usize;
+        let slot_idx = sess.slot_of(hdr.req_num);
         let s = sess.slots[slot_idx].server();
         if s.req_num != hdr.req_num || s.phase != SrvPhase::Responding {
             return None;

@@ -136,7 +136,8 @@ impl<T: Transport> Rpc<T> {
         sess.state = SessionState::Connected;
         sess.remote_num = body.server_session;
         sess.last_rx_ns = self.now_cache;
-        self.pump_session(body.client_session);
+        // Requests enqueued during the handshake waited in the backlog.
+        self.kick_session(body.client_session);
     }
 
     pub(super) fn rx_disconnect_req(&mut self, hdr: PktHdr, tok: RxToken) {
@@ -453,7 +454,7 @@ impl<T: Transport> Rpc<T> {
     /// Go-back-N rollback (§5.3): reclaim credits for unacked packets,
     /// flush the TX DMA queue so no msgbuf references linger (§4.2.2),
     /// and retransmit from the last acknowledged state.
-    fn rollback_and_retransmit(&mut self, sess_idx: u16, slot_idx: usize, now: u64) {
+    pub(super) fn rollback_and_retransmit(&mut self, sess_idx: u16, slot_idx: usize, now: u64) {
         self.stats.retransmissions += 1;
         let give_up = {
             let sess = self.sessions[sess_idx as usize].as_mut().unwrap();
@@ -485,8 +486,9 @@ impl<T: Transport> Rpc<T> {
             // the horizon so retransmissions aren't scheduled behind wire
             // time that will never be used.
             sess.cc.next_tx_ns = now;
+            sess.wants_tx.insert(slot_idx);
         }
-        self.pump_session(sess_idx);
+        self.kick_session(sess_idx);
     }
 
     /// Declare the remote dead for one session (Appendix B): flush TX,

@@ -1,5 +1,5 @@
 //! Egress datapath: the deferred TX batch (§4.3's transmit batching), the
-//! pacing wheel (§5.2), and session pumping.
+//! pacing wheel (§5.2), and slot scheduling (`kick_session`).
 //!
 //! Every packet-egress site in the endpoint appends a [`TxDesc`] here; the
 //! event loop drains the queue into one [`Transport::tx_burst`] per pass —
@@ -309,68 +309,81 @@ impl<T: Transport> Rpc<T> {
         });
     }
 
-    /// Advance all transmittable work on a client session: promote the
-    /// backlog into free slots, then send request packets and RFRs while
-    /// credits allow.
-    pub(super) fn pump_session(&mut self, sess_idx: u16) {
+    /// Let a connected client session send what it may now: start waiting
+    /// requests in free slots (the backlog head into the lowest slot), then
+    /// kick the slots in `wants_tx`, lowest first. Every event that can
+    /// unblock transmission ends here — request started, ack, rollback,
+    /// completion, connect — having added its slot to that set.
+    pub(super) fn kick_session(&mut self, sess_idx: u16) {
         let now = self.now_cache;
-        let uncontrolled = matches!(self.cfg.cc, CcAlgorithm::None);
         let Some(sess) = self.sessions[sess_idx as usize].as_mut() else {
             return;
         };
-        if sess.role != Role::Client || sess.state != SessionState::Connected {
+        if sess.state != SessionState::Connected {
             return;
         }
         while !sess.backlog.is_empty() {
-            let Some(slot_idx) = sess.free_slot() else {
+            let Some(slot_idx) = sess.free.pop_lowest() else {
                 break;
             };
             if let Some(p) = sess.backlog.pop_front() {
                 Self::start_request(sess, slot_idx, p, now);
             }
         }
-        // Transmit pending sequences, slot by slot: one slot borrow and
-        // one credit/counter update for the slot's whole transmittable
-        // window, then queue the descriptors. In the common case the
-        // pacer is bypassed (§5.2.2 opt 2); only the paced path pays the
-        // per-sequence reservation arithmetic.
-        let bypass = uncontrolled || (self.cfg.opt_rate_limiter_bypass && sess.cc.is_uncongested());
-        for slot_idx in 0..sess.slots.len() {
-            let Some(sess) = self.sessions[sess_idx as usize].as_mut() else {
-                return;
+        let mut todo = std::mem::take(&mut sess.wants_tx);
+        while let Some(slot_idx) = todo.pop_lowest() {
+            self.kick(sess_idx, slot_idx);
+        }
+    }
+
+    /// Send what client slot `slot_idx` may send now — its next request
+    /// packets or RFRs, as far as the session's credits reach: one slot
+    /// borrow and one credit/counter update for the whole window, then the
+    /// descriptors. In the common case the pacer is bypassed (§5.2.2
+    /// opt 2); only the paced path pays the per-sequence reservation
+    /// arithmetic. A slot left wanting goes back into `wants_tx`.
+    fn kick(&mut self, sess_idx: u16, slot_idx: usize) {
+        let Some(sess) = self.sessions[sess_idx as usize].as_mut() else {
+            return;
+        };
+        let c = sess.slots[slot_idx].client_mut();
+        if !c.active {
+            return;
+        }
+        let first = c.num_tx;
+        let want = c.tx_target().saturating_sub(first);
+        let n = want.min(sess.credits);
+        c.num_tx += n;
+        sess.credits -= n;
+        if n < want {
+            sess.wants_tx.insert(slot_idx);
+        }
+        let (req_num, epoch) = (c.req_num, c.tx_epoch);
+        let bypass = matches!(self.cfg.cc, CcAlgorithm::None)
+            || (self.cfg.opt_rate_limiter_bypass && sess.cc.is_uncongested());
+        for seq in first..first + n {
+            let r = ClientSeq {
+                sess: sess_idx,
+                slot: slot_idx as u8,
+                req_num,
+                epoch,
+                seq,
             };
-            let c = sess.slots[slot_idx].client_mut();
-            if !c.active {
-                continue;
-            }
-            let first = c.num_tx;
-            let n = c.tx_target().saturating_sub(first).min(sess.credits);
-            c.num_tx += n;
-            sess.credits -= n;
-            let (req_num, epoch) = (c.req_num, c.tx_epoch);
-            for seq in first..first + n {
-                let r = ClientSeq {
-                    sess: sess_idx,
-                    slot: slot_idx as u8,
-                    req_num,
-                    epoch,
-                    seq,
-                };
-                if bypass {
-                    self.stats.pkts_bypassed_pacer += 1;
-                    self.queue_tx(TxDesc::Client(r));
-                } else {
-                    self.pace_or_send(r);
-                }
+            if bypass {
+                self.stats.pkts_bypassed_pacer += 1;
+                self.queue_tx(TxDesc::Client(r));
+            } else {
+                self.pace_or_send(r);
             }
         }
     }
 
-    /// Move a backlogged request into a free slot. Every field of every
-    /// request packet's header is known right here, so the header template
-    /// (§5.2) is written once: transmission and go-back-N retransmission
-    /// then touch no header bytes at all.
-    fn start_request(sess: &mut Session, slot_idx: usize, p: PendingReq, now: u64) {
+    /// Start a request in slot `slot_idx`, just taken from the free set.
+    /// Every field of every request packet's header is known right here,
+    /// so the header template (§5.2) is written once: transmission and
+    /// go-back-N retransmission then touch no header bytes at all.
+    #[inline]
+    pub(super) fn start_request(sess: &mut Session, slot_idx: usize, p: PendingReq, now: u64) {
         let c = sess.slots[slot_idx].client_mut();
         debug_assert!(!c.active);
         let mut req = p.req;
@@ -399,6 +412,7 @@ impl<T: Transport> Rpc<T> {
         c.resp_total = 0;
         c.last_progress_ns = now;
         c.retries = 0;
+        sess.wants_tx.insert(slot_idx);
     }
 
     /// Send a client TX sequence now, or schedule it in the pacing wheel

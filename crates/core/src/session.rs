@@ -52,10 +52,11 @@ pub enum Role {
     Server,
 }
 
-/// A request queued because all slots were busy (§4.3: "additional
-/// requests are transparently queued by eRPC"). Carries its owned
-/// continuation: per-request state travels with the request, not through
-/// a registration table.
+/// A request on its way into a slot: handed straight to `start_request`
+/// when one is free, queued in the session's backlog when all are busy
+/// (§4.3: "additional requests are transparently queued by eRPC").
+/// Carries its owned continuation: per-request state travels with the
+/// request, not through a registration table.
 pub(crate) struct PendingReq {
     pub req_type: u8,
     pub req: MsgBuf,
@@ -115,8 +116,8 @@ pub(crate) struct ClientSlot {
     pub retries: u32,
     /// Invalidates timing-wheel entries scheduled before a rollback.
     pub tx_epoch: u32,
-    /// TX timestamps of in-flight packets for RTT sampling, indexed by
-    /// `tx_seq % credits`.
+    /// TX timestamps of in-flight packets for RTT sampling: one entry per
+    /// credit, rounded up to a power of two so `tx_seq` indexes it by mask.
     pub tx_ts: Vec<u64>,
 }
 
@@ -138,7 +139,7 @@ impl ClientSlot {
             last_progress_ns: 0,
             retries: 0,
             tx_epoch: 0,
-            tx_ts: vec![0; credits.max(1) as usize],
+            tx_ts: vec![0; credits.max(1).next_power_of_two() as usize],
         }
     }
 
@@ -169,15 +170,15 @@ impl ClientSlot {
     /// Stamp the TX time of sequence `tx_seq` for later RTT sampling.
     #[inline]
     pub fn stamp_tx(&mut self, tx_seq: u32, now_ns: u64) {
-        let n = self.tx_ts.len();
-        self.tx_ts[tx_seq as usize % n] = now_ns;
+        let mask = self.tx_ts.len() - 1;
+        self.tx_ts[tx_seq as usize & mask] = now_ns;
     }
 
     /// RTT sample for an acked TX sequence.
     #[inline]
     pub fn rtt_sample(&self, tx_seq: u32, now_ns: u64) -> u64 {
-        let n = self.tx_ts.len();
-        now_ns.saturating_sub(self.tx_ts[tx_seq as usize % n])
+        let mask = self.tx_ts.len() - 1;
+        now_ns.saturating_sub(self.tx_ts[tx_seq as usize & mask])
     }
 }
 
@@ -236,6 +237,30 @@ impl ServerSlot {
             prealloc: Some(prealloc),
             resp_ecn: false,
         }
+    }
+}
+
+/// A set of slot indices (`slots_per_session` ≤ 255), served lowest first.
+#[derive(Debug, Default)]
+pub(crate) struct SlotSet([u64; 4]);
+
+impl SlotSet {
+    #[inline]
+    pub fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    pub fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Remove and return the lowest member.
+    #[inline]
+    pub fn pop_lowest(&mut self) -> Option<usize> {
+        let w = self.0.iter().position(|bits| *bits != 0)?;
+        let i = w * 64 + self.0[w].trailing_zeros() as usize;
+        self.0[w] &= self.0[w] - 1;
+        Some(i)
     }
 }
 
@@ -370,6 +395,17 @@ pub(crate) struct Session {
     /// Available credits (client side).
     pub credits: u32,
     pub slots: Vec<Slot>,
+    /// The free client slots (`!active`); a request takes the lowest.
+    /// Always empty on a server session.
+    pub free: SlotSet,
+    /// Client slots that may have something to send: every event that can
+    /// unblock a slot (request started, ack, rollback) adds it, and
+    /// `Rpc::kick_session` serves the set lowest-first. A slot that ran
+    /// out of credits stays in it, so the next credits that come back are
+    /// offered to the starved slots in index order.
+    pub wants_tx: SlotSet,
+    /// Requests waiting for a slot, FIFO. Non-empty only while every slot
+    /// is busy (or the session is still connecting).
     pub backlog: VecDeque<PendingReq>,
     pub cc: SessionCc,
     /// Last packet of any kind from the peer (failure detection).
@@ -402,7 +438,7 @@ impl Session {
         num_slots: usize,
         now_ns: u64,
     ) -> Self {
-        Self {
+        let mut s = Self {
             role: Role::Client,
             state: SessionState::Connecting,
             peer,
@@ -412,6 +448,8 @@ impl Session {
             slots: (0..num_slots)
                 .map(|i| Slot::Client(ClientSlot::new(i, credits)))
                 .collect(),
+            free: SlotSet::default(),
+            wants_tx: SlotSet::default(),
             backlog: VecDeque::new(),
             cc: SessionCc::default(),
             last_rx_ns: now_ns,
@@ -420,7 +458,9 @@ impl Session {
             connect_deadline_ns: 0,
             outstanding: 0,
             peer_incarnation: 0,
-        }
+        };
+        (0..num_slots).for_each(|i| s.free.insert(i));
+        s
     }
 
     pub fn new_server(
@@ -439,6 +479,8 @@ impl Session {
             remote_num,
             credits,
             slots,
+            free: SlotSet::default(),
+            wants_tx: SlotSet::default(),
             backlog: VecDeque::new(),
             cc: SessionCc::default(),
             last_rx_ns: now_ns,
@@ -450,12 +492,17 @@ impl Session {
         }
     }
 
-    /// A free client slot index, if any.
-    pub fn free_slot(&self) -> Option<usize> {
-        self.slots.iter().position(|s| match s {
-            Slot::Client(c) => !c.active,
-            Slot::Server(_) => false,
-        })
+    /// The slot `req_num` runs in: request numbers advance by the slot
+    /// count, so this is `req_num mod slots` — a mask when the count is a
+    /// power of two (the default 8 is), a division only otherwise.
+    #[inline]
+    pub fn slot_of(&self, req_num: u64) -> usize {
+        let n = self.slots.len();
+        if n.is_power_of_two() {
+            req_num as usize & (n - 1)
+        } else {
+            (req_num % n as u64) as usize
+        }
     }
 }
 
@@ -476,13 +523,36 @@ mod tests {
     }
 
     #[test]
-    fn free_slot_tracking() {
-        let mut s = Session::new_client(0, Addr::new(1, 0), 8, 2, 0);
-        assert_eq!(s.free_slot(), Some(0));
-        s.slots[0].client_mut().active = true;
-        assert_eq!(s.free_slot(), Some(1));
-        s.slots[1].client_mut().active = true;
-        assert_eq!(s.free_slot(), None);
+    fn lowest_free_slot_is_taken_first() {
+        for n in [1, 2, 8, 64, 65, 200, 255] {
+            let mut s = Session::new_client(0, Addr::new(1, 0), 8, n, 0);
+            for i in 0..n {
+                assert!(s.free.contains(i));
+                assert_eq!(s.free.pop_lowest(), Some(i));
+                assert!(!s.free.contains(i));
+            }
+            assert_eq!(s.free.pop_lowest(), None);
+            // Released out of order, the lowest comes back first.
+            for i in [n - 1, n / 2, 0] {
+                s.free.insert(i);
+            }
+            let mut want = vec![0, n / 2, n - 1];
+            want.dedup();
+            for i in want {
+                assert_eq!(s.free.pop_lowest(), Some(i));
+            }
+            assert_eq!(s.free.pop_lowest(), None);
+        }
+    }
+
+    #[test]
+    fn slot_of_is_req_num_mod_slots() {
+        for n in [1usize, 5, 8, 64, 255] {
+            let s = Session::new_client(0, Addr::new(1, 0), 8, n, 0);
+            for req_num in [0u64, 1, 7, 8, 254, 255, 256, 1 << 40, (1 << 48) - 1] {
+                assert_eq!(s.slot_of(req_num), (req_num % n as u64) as usize);
+            }
+        }
     }
 
     #[test]
@@ -494,6 +564,15 @@ mod tests {
         assert_eq!(c.rtt_sample(5, 1000), 100);
         // Slot 4 aliases slot 0's entry (stamped at 100).
         assert_eq!(c.rtt_sample(4, 150), 50);
+        // Six credits get eight entries: any six consecutive sequences
+        // (all that can be in flight) keep distinct stamps.
+        let mut c = ClientSlot::new(0, 6);
+        for seq in 13..19 {
+            c.stamp_tx(seq, seq as u64);
+        }
+        for seq in 13..19 {
+            assert_eq!(c.rtt_sample(seq, 100), 100 - seq as u64);
+        }
     }
 
     #[test]

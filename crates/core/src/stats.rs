@@ -62,7 +62,9 @@ pub struct RpcStats {
     /// Timely updates performed / bypassed (§5.2.2 opt 1).
     pub timely_updates: u64,
     pub timely_bypasses: u64,
-    /// Clock reads (to verify the batched-timestamp optimization).
+    /// Real reads of the transport clock by the datapath (to verify the
+    /// batched-timestamp optimization): one per event-loop pass and one
+    /// per batch of enqueues that share a stamp — not one per request.
     pub clock_reads: u64,
     /// Sessions declared failed by the management layer.
     pub sessions_failed: u64,

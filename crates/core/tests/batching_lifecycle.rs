@@ -171,7 +171,7 @@ fn rollback_with_pending_batch_drops_stale_descriptors() {
     let sess = connect(&mut client, &mut server, Addr::new(0, 0));
     let tx_before = client.transport().stats().tx_pkts;
 
-    // Enqueue outside the event loop: pump_session queues 3 request-packet
+    // Enqueue outside the event loop: the slot's kick queues 3 request-packet
     // descriptors (3 * 1024 B data), but nothing flushes until the next
     // event-loop pass.
     let mut req = client.alloc_msg_buffer(3 * 1024);

@@ -13,116 +13,11 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use erpc::mgmt::{ConnectReq, ConnectResp};
-use erpc::{CcAlgorithm, PktHdr, PktType, Rpc, RpcConfig, SessionHandle, PKT_HDR_SIZE};
-use erpc_transport::{Addr, MemFabric, MemFabricConfig, MemTransport, Transport, TxPacket};
+use erpc::{PktHdr, PktType, Rpc};
+use erpc_transport::{Addr, MemFabric, MemFabricConfig, Transport, TxPacket};
 
-fn cfg() -> RpcConfig {
-    RpcConfig {
-        ping_interval_ns: 0,
-        cc: CcAlgorithm::None,
-        // Long RTO: retransmissions must not race the fake peer's script.
-        rto_ns: 60_000_000_000,
-        ..RpcConfig::default()
-    }
-}
-
-/// Drain every packet currently in the fake peer's ring.
-fn recv_all(t: &mut MemTransport) -> Vec<(PktHdr, Vec<u8>)> {
-    let mut toks = Vec::new();
-    t.rx_burst(64, &mut toks);
-    let out = toks
-        .iter()
-        .map(|tok| {
-            let bytes = t.rx_bytes(tok);
-            (
-                PktHdr::decode(bytes).expect("fake peer got undecodable pkt"),
-                bytes[PKT_HDR_SIZE..].to_vec(),
-            )
-        })
-        .collect();
-    t.rx_release();
-    out
-}
-
-fn send(t: &mut MemTransport, dst: Addr, hdr: &PktHdr, payload: &[u8]) {
-    let bytes = hdr.encode();
-    t.tx_burst(&[TxPacket {
-        dst,
-        hdr: &bytes,
-        data: payload,
-    }]);
-}
-
-/// Poll `rpc` until the fake peer receives at least one packet matching
-/// `want` (returns all packets drained along the way).
-fn pump_until(
-    rpc: &mut Rpc<MemTransport>,
-    fake: &mut MemTransport,
-    mut want: impl FnMut(&PktHdr) -> bool,
-) -> Vec<(PktHdr, Vec<u8>)> {
-    for _ in 0..10_000 {
-        rpc.run_event_loop_once();
-        let got = recv_all(fake);
-        if got.iter().any(|(h, _)| want(h)) {
-            return got;
-        }
-    }
-    panic!("fake peer never saw the expected packet");
-}
-
-/// Connect the fake peer to `server` as a client (8 slots, 32 credits);
-/// returns the server's session number.
-fn fake_client_connect(server: &mut Rpc<MemTransport>, fake: &mut MemTransport) -> u16 {
-    let mut creq_body = Vec::new();
-    ConnectReq {
-        client_addr: fake.addr(),
-        client_session: 0,
-        credits: 32,
-        num_slots: 8,
-        incarnation: 7,
-    }
-    .encode(&mut creq_body);
-    send(
-        fake,
-        server.addr(),
-        &PktHdr::control(PktType::ConnectReq, u16::MAX, 0, 0),
-        &creq_body,
-    );
-    let pkts = pump_until(server, fake, |h| h.pkt_type == PktType::ConnectResp);
-    let (_, body) = pkts
-        .iter()
-        .find(|(h, _)| h.pkt_type == PktType::ConnectResp)
-        .unwrap();
-    let cresp = ConnectResp::decode(body).unwrap();
-    assert!(cresp.ok);
-    cresp.server_session
-}
-
-/// Have `client` open a session to the fake peer, which accepts it as its
-/// session 42.
-fn fake_server_accept(client: &mut Rpc<MemTransport>, fake: &mut MemTransport) -> SessionHandle {
-    let sess = client.create_session(fake.addr()).unwrap();
-    let pkts = pump_until(client, fake, |h| h.pkt_type == PktType::ConnectReq);
-    let creq = ConnectReq::decode(&pkts[0].1).unwrap();
-    let mut resp_body = Vec::new();
-    ConnectResp {
-        client_session: creq.client_session,
-        server_session: 42,
-        ok: true,
-    }
-    .encode(&mut resp_body);
-    send(
-        fake,
-        client.addr(),
-        &PktHdr::control(PktType::ConnectResp, u16::MAX, 0, 0),
-        &resp_body,
-    );
-    while !client.is_connected(sess) {
-        client.run_event_loop_once();
-    }
-    sess
-}
+mod fake_peer;
+use fake_peer::{cfg, fake_client_connect, fake_server_accept, pump_until, recv_all, send};
 
 /// Forged *response* packets at a real client: oversized first packet,
 /// then (multi-packet flow) an oversized continuation packet that used to
@@ -536,4 +431,72 @@ fn early_response_cannot_mint_credits() {
     assert_eq!(done.get(), Some(8));
     assert_eq!(client.session_credits_available(sess), Some(32));
     assert_eq!(client.stats().rx_invariant_breach, 0);
+}
+
+/// A credit return naming the *last* request packet (regression). No
+/// correct server sends one — request packet N−1 is acknowledged by
+/// response packet 0 — so a corrupted or hostile CR with `pkt_num = N−1`
+/// must be dropped as stale. Accepted, it moved `num_rx` to N: the genuine
+/// response packet 0 (RX sequence N−1) was then stale forever, and with
+/// nothing in flight the RTO scan never fired again — a hung caller.
+#[test]
+fn cr_for_the_last_request_packet_is_dropped() {
+    for n_pkts in [1u32, 3] {
+        let fabric = MemFabric::new(MemFabricConfig::default());
+        let mut client = Rpc::new(fabric.create_transport(Addr::new(1, 0)), cfg());
+        let mut fake = fabric.create_transport(Addr::new(9, 0));
+        let sess = fake_server_accept(&mut client, &mut fake);
+
+        let size = if n_pkts == 1 {
+            32
+        } else {
+            (n_pkts as usize - 1) * client.data_per_pkt() + 1
+        };
+        let mut req = client.alloc_msg_buffer(size);
+        req.resize(size);
+        let resp = client.alloc_msg_buffer(64);
+        let done: Rc<Cell<Option<usize>>> = Rc::new(Cell::new(None));
+        let done2 = done.clone();
+        client
+            .enqueue_request(sess, 3, req, resp, move |ctx, comp| {
+                comp.result.expect("rpc must succeed");
+                done2.set(Some(comp.resp.len()));
+                ctx.free_msg_buffer(comp.req);
+                ctx.free_msg_buffer(comp.resp);
+            })
+            .unwrap();
+        pump_until(&mut client, &mut fake, |h| {
+            h.pkt_type == PktType::Req && h.pkt_num as u32 == n_pkts - 1
+        });
+        let credits = client.session_credits_available(sess);
+        assert_eq!(credits, Some(32 - n_pkts));
+
+        let dropped_before = client.stats().rx_dropped_stale;
+        let bogus = PktHdr::control(PktType::CreditReturn, sess.num(), 0, n_pkts as u16 - 1);
+        send(&mut fake, client.addr(), &bogus, &[]);
+        for _ in 0..10 {
+            client.run_event_loop_once();
+        }
+        assert_eq!(client.stats().rx_dropped_stale, dropped_before + 1);
+        assert_eq!(client.session_credits_available(sess), credits);
+        assert!(done.get().is_none());
+
+        // The real response still completes the call.
+        let good = PktHdr {
+            pkt_type: PktType::Resp,
+            ecn: false,
+            req_type: 3,
+            dest_session: sess.num(),
+            msg_size: 8,
+            req_num: 0,
+            pkt_num: 0,
+        };
+        send(&mut fake, client.addr(), &good, &[5; 8]);
+        for _ in 0..10 {
+            client.run_event_loop_once();
+        }
+        assert_eq!(done.get(), Some(8), "{n_pkts}-packet request completes");
+        assert_eq!(client.session_credits_available(sess), Some(32));
+        assert_eq!(client.stats().rx_invariant_breach, 0);
+    }
 }

@@ -110,6 +110,10 @@ pub fn check_file(rel: &str, src: &str, cfg: &Config, apply_print_rule: bool) ->
             }
             if let Some((rule, what)) = hot_violation(&toks, i) {
                 let fname = fn_of[i].as_deref().unwrap_or("?");
+                // A `now_ns` that forwards to its clock *is* the clock.
+                if what == ".now_ns()" && fname == "now_ns" {
+                    continue;
+                }
                 findings.push(Finding {
                     rule,
                     file: rel.to_string(),
@@ -339,7 +343,8 @@ fn hot_violation(toks: &[Token], i: usize) -> Option<(&'static str, String)> {
                 let rule = match name.text.as_str() {
                     "unwrap" | "expect" => R_HOT_PANIC,
                     "to_vec" | "to_string" | "to_owned" | "clone" | "collect" => R_HOT_ALLOC,
-                    "elapsed" => R_HOT_CLOCK,
+                    // `now_ns` is the transport clock (`Transport::now_ns`).
+                    "elapsed" | "now_ns" => R_HOT_CLOCK,
                     _ => return None,
                 };
                 return Some((rule, format!(".{}()", name.text)));
@@ -714,6 +719,17 @@ mod tests {
         assert_eq!(rules.iter().filter(|r| **r == R_HOT_ALLOC).count(), 4);
         assert_eq!(rules.iter().filter(|r| **r == R_HOT_PANIC).count(), 2);
         assert_eq!(rules.iter().filter(|r| **r == R_HOT_CLOCK).count(), 2);
+    }
+
+    #[test]
+    fn transport_clock_reads_are_clock_reads() {
+        let cfg = cfg_hot("f.rs");
+        let f = check("fn rx(t: &T) -> u64 { t.now_ns() }", &cfg);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, R_HOT_CLOCK);
+        // … except in the clock's own forwarding implementation.
+        let f = check("fn now_ns(&self) -> u64 { self.clock.now_ns() }", &cfg);
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

@@ -29,15 +29,21 @@ impl driver::PolledEndpoint for Ep {
 }
 
 fn harness(faults: FaultConfig, rto_ns: u64) -> Harness {
+    harness_with(
+        faults,
+        RpcConfig {
+            ping_interval_ns: 0,
+            rto_ns,
+            ..RpcConfig::default()
+        },
+    )
+}
+
+fn harness_with(faults: FaultConfig, rpc_cfg: RpcConfig) -> Harness {
     let mut cfg = Cluster::Cx4.config();
     cfg.topology = Topology::SingleSwitch { hosts: 2 };
     cfg.faults = faults;
     let net = SimNet::new(cfg).into_handle();
-    let rpc_cfg = RpcConfig {
-        ping_interval_ns: 0,
-        rto_ns,
-        ..RpcConfig::default()
-    };
     let mut server = Rpc::new(
         SimTransport::new(net.clone(), Addr::new(0, 0)),
         rpc_cfg.clone(),
@@ -207,6 +213,63 @@ fn common_case_goldens_under_heavy_retransmission() {
         ..Default::default()
     };
     golden_case(faults, 8, 2500, 120_000_000_000, [21, 8, 8, 14, 0, 101]);
+}
+
+/// Eight slots share four credits: every kick leaves slots wanting, so
+/// the session's `wants_tx` set is never empty and each returned credit is
+/// offered to the starved slots in index order. Under 2 % loss every one
+/// of the eight 40-packet requests must still complete — no slot is
+/// passed over until it gives up — and the credits must all come home.
+#[test]
+fn eight_slots_on_four_credits_all_complete_under_loss() {
+    let faults = FaultConfig {
+        drop_prob: 0.02,
+        ..Default::default()
+    };
+    let rpc_cfg = RpcConfig {
+        ping_interval_ns: 0,
+        rto_ns: 1_000_000,
+        session_credits: 4,
+        ..RpcConfig::default()
+    };
+    let max_retx = rpc_cfg.max_retransmissions;
+    let mut h = harness_with(faults, rpc_cfg);
+    let sess = h.eps[1].rpc.create_session(Addr::new(0, 0)).unwrap();
+    let size = 40 * h.eps[1].rpc.data_per_pkt();
+    let done: Rc<RefCell<Vec<u8>>> = Rc::default();
+    for i in 0..8u8 {
+        let rpc = &mut h.eps[1].rpc;
+        let mut req = rpc.alloc_msg_buffer(size);
+        req.fill(&vec![i; size]);
+        let resp = rpc.alloc_msg_buffer(size);
+        let done2 = done.clone();
+        rpc.enqueue_request(sess, ECHO, req, resp, move |ctx, comp| {
+            comp.result.expect("no slot may give up");
+            assert!(comp.resp.data().iter().all(|b| *b == i), "echo {i} intact");
+            done2.borrow_mut().push(i);
+            ctx.free_msg_buffer(comp.req);
+            ctx.free_msg_buffer(comp.resp);
+        })
+        .unwrap();
+    }
+    let mut t = 0u64;
+    while done.borrow().len() < 8 {
+        t += 100_000;
+        driver::run(&h.net, &mut h.eps, t);
+        assert!(t < 60_000_000_000, "stalled with {:?} done", done.borrow());
+    }
+    let mut ids = done.borrow().clone();
+    ids.sort_unstable();
+    assert_eq!(ids, [0, 1, 2, 3, 4, 5, 6, 7]);
+    let client = &h.eps[1].rpc;
+    assert!(
+        client.stats().retransmissions > 0,
+        "2 % loss must cost RTOs"
+    );
+    assert!(client.stats().retransmissions < max_retx as u64);
+    assert_eq!(client.stats().sessions_failed, 0);
+    assert_eq!(client.session_credits_available(sess), Some(4));
+    assert_eq!(h.eps[0].rpc.stats().handlers_invoked, 8);
 }
 
 #[test]
