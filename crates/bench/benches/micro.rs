@@ -4,7 +4,8 @@
 //! the counting global allocator, so `rpc_path_costs` measures real heap
 //! traffic per small RPC on the dispatch, worker, and Channel paths) and
 //! the issue-path ledger (ns per enqueue / completion / CR at 1, 8 and 64
-//! slots per session).
+//! slots per session), and the large-message ledger (ns per packet of a
+//! 1 MiB request on each side, CRs per request).
 //!
 //! These are sanity gauges for the common-case-optimization story (§4/§5):
 //! everything on the per-packet path should be tens of nanoseconds, and
@@ -20,7 +21,9 @@ use erpc::pkthdr::{PktHdr, PktType};
 use erpc::{CcAlgorithm, Completion, ContContext, MsgBuf, Rpc, RpcConfig, SessionHandle};
 use erpc_congestion::{Timely, TimelyConfig, TimingWheel};
 use erpc_store::{Masstree, Mica};
-use erpc_transport::{Addr, MemFabric, MemFabricConfig, MemTransport, PacketRing, TxPacket};
+use erpc_transport::{
+    Addr, MemFabric, MemFabricConfig, MemTransport, PacketRing, Transport, TxPacket,
+};
 
 #[path = "../../core/tests/fake_peer/mod.rs"]
 mod fake_peer;
@@ -548,12 +551,181 @@ fn bench_issue_path(_c: &mut Criterion) {
     issue_path_ledger();
 }
 
+// ── Large-message ledger (DESIGN.md § "Large messages move as runs") ────
+
+/// 1 MiB = 1024 packets: 32 windows of the default 32 credits.
+const BIG_PKTS: usize = 1024;
+const BIG_ROUNDS: usize = 100;
+
+/// Claim and release everything in `t`'s ring (untimed script upkeep).
+fn drain(t: &mut MemTransport) {
+    let mut toks = Vec::with_capacity(64);
+    while t.rx_burst(64, &mut toks) > 0 {
+        toks.clear();
+        t.rx_release();
+    }
+}
+
+/// ns per packet of each side of a 1 MiB request, and the CRs it draws.
+/// Server: a scripted client puts 32 request packets in the server's ring
+/// — one window, as one burst — and one pass consumes them (one run,
+/// answered by one CR); the last burst of each request, which also runs
+/// the handler, is not timed. Client: a scripted server returns each
+/// 32-credit window with one cumulative CR, and one pass takes it and
+/// flushes the next window (kick, descriptor, the 32 packets' ring push).
+/// CRs per request: a real client and server, one pass each in turn, so
+/// every window reaches the server as one burst. Beside them, the floor
+/// under the server's figure: the 1 KiB copy alone, slot after slot out
+/// of a ring-sized arena (4096 slots of 1040 B) into a 1 MiB buffer (the
+/// client's floor, the 1040 B ring push, is in the packet-ring ledger).
+fn large_path_ledger() {
+    println!("\nlarge-message path (1 MiB requests = {BIG_PKTS} packets, 32 credits, {BIG_ROUNDS} requests):");
+    // Server RX: one run per 32-packet burst.
+    let fabric = MemFabric::new(MemFabricConfig::default());
+    let mut server = Rpc::new(fabric.create_transport(Addr::new(0, 0)), fake_peer::cfg());
+    server.register_request_handler(PATH_ECHO, Box::new(|ctx, _req| ctx.respond(&[0; 32])));
+    let mut fake = fabric.create_transport(Addr::new(9, 0));
+    let sess = fake_peer::fake_client_connect(&mut server, &mut fake);
+    let dpp = server.data_per_pkt();
+    let body = vec![7u8; dpp];
+    let (mut srv_ns, mut srv_pkts) = (0u128, 0usize);
+    for r in 0..BIG_ROUNDS {
+        let hdrs: Vec<[u8; 16]> = (0..BIG_PKTS)
+            .map(|k| {
+                PktHdr {
+                    pkt_type: PktType::Req,
+                    ecn: false,
+                    req_type: PATH_ECHO,
+                    dest_session: sess,
+                    msg_size: (BIG_PKTS * dpp) as u32,
+                    req_num: 8 * r as u64,
+                    pkt_num: k as u16,
+                }
+                .encode()
+            })
+            .collect();
+        for (w, window) in hdrs.chunks(32).enumerate() {
+            let burst: Vec<TxPacket<'_>> = window
+                .iter()
+                .map(|h| TxPacket {
+                    dst: server.addr(),
+                    hdr: h,
+                    data: &body,
+                })
+                .collect();
+            fake.tx_burst(&burst);
+            let t0 = Instant::now();
+            server.run_event_loop_once();
+            if w + 1 < BIG_PKTS / 32 {
+                srv_ns += t0.elapsed().as_nanos();
+                srv_pkts += 32;
+            }
+            drain(&mut fake);
+        }
+    }
+    assert_eq!(server.stats().handlers_invoked, BIG_ROUNDS as u64);
+    // Client: CR → kick → flush, one 32-packet window per pass.
+    let (mut client, mut srv, csess) = ledger_rig(8, 32);
+    let big = BIG_PKTS * client.data_per_pkt();
+    let mut big_pair = Some((client.alloc_msg_buffer(big), client.alloc_msg_buffer(32)));
+    let (mut cli_ns, mut cli_pkts) = (0u128, 0usize);
+    for _ in 0..BIG_ROUNDS {
+        let (req, resp) = big_pair.take().unwrap();
+        client
+            .enqueue_request(csess, PATH_ECHO, req, resp, |_ctx, comp| {
+                PAIR.with(|p| *p.borrow_mut() = Some((comp.req, comp.resp)));
+            })
+            .unwrap();
+        client.run_event_loop_once();
+        srv.recv();
+        let req_num = srv.seen.pop().unwrap();
+        for w in 1..BIG_PKTS / 32 {
+            let cr = PktHdr::control(
+                PktType::CreditReturn,
+                srv.client_sess,
+                req_num,
+                (32 * w - 1) as u16,
+            );
+            fake_peer::send(&mut srv.t, srv.client, &cr, &[]);
+            let t0 = Instant::now();
+            client.run_event_loop_once();
+            cli_ns += t0.elapsed().as_nanos();
+            cli_pkts += 32;
+            drain(&mut srv.t);
+        }
+        srv.seen.push(req_num);
+        srv.respond(1);
+        client.run_event_loop_once();
+        big_pair = PAIR.with(|p| p.borrow_mut().take());
+        assert!(big_pair.is_some(), "1 MiB request completed");
+    }
+    assert_eq!(client.stats().data_pkts_tx, (BIG_ROUNDS * BIG_PKTS) as u64);
+    // CRs per request between a real client and server.
+    let fabric = MemFabric::new(MemFabricConfig::default());
+    let mut server = Rpc::new(fabric.create_transport(Addr::new(0, 0)), fake_peer::cfg());
+    server.register_request_handler(PATH_ECHO, Box::new(|ctx, _req| ctx.respond(&[0; 32])));
+    let mut client = Rpc::new(fabric.create_transport(Addr::new(1, 0)), fake_peer::cfg());
+    let sess = client.create_session(server.addr()).unwrap();
+    while !client.is_connected(sess) {
+        client.run_event_loop_once();
+        server.run_event_loop_once();
+    }
+    let mut pair = Some((client.alloc_msg_buffer(big), client.alloc_msg_buffer(32)));
+    let crs0 = server.stats().ctrl_pkts_tx;
+    for _ in 0..BIG_ROUNDS {
+        let (req, resp) = pair.take().unwrap();
+        client
+            .enqueue_request(sess, PATH_ECHO, req, resp, |_ctx, comp| {
+                PAIR.with(|p| *p.borrow_mut() = Some((comp.req, comp.resp)));
+            })
+            .unwrap();
+        while pair.is_none() {
+            client.run_event_loop_once();
+            server.run_event_loop_once();
+            pair = PAIR.with(|p| p.borrow_mut().take());
+        }
+    }
+    assert_eq!(client.stats().retransmissions, 0);
+    let crs_per_req = (server.stats().ctrl_pkts_tx - crs0) / BIG_ROUNDS as u64;
+    println!(
+        "{:<48} {:>10.1} ns/pkt",
+        "server RX, 32-packet run -> 1 CR",
+        srv_ns as f64 / srv_pkts as f64
+    );
+    println!(
+        "{:<48} {:>10.1} ns/pkt",
+        "client CR -> kick -> flush, 32-packet window",
+        cli_ns as f64 / cli_pkts as f64
+    );
+    println!("{:<48} {:>10}", "CRs per 1 MiB request", crs_per_req);
+    let arena = vec![7u8; 4096 * 1040];
+    let mut dst = vec![0u8; BIG_PKTS * dpp];
+    let t0 = Instant::now();
+    for r in 0..BIG_ROUNDS {
+        for (k, chunk) in dst.chunks_exact_mut(dpp).enumerate() {
+            let at = (r * BIG_PKTS + k) % 4096 * 1040 + 16;
+            chunk.copy_from_slice(black_box(&arena[at..at + dpp]));
+        }
+        black_box(&mut dst);
+    }
+    println!(
+        "{:<48} {:>10.1} ns/pkt",
+        "floor: the 1 KiB RX copy alone",
+        t0.elapsed().as_nanos() as f64 / (BIG_ROUNDS * BIG_PKTS) as f64
+    );
+    assert_eq!(crs_per_req, (BIG_PKTS / 32) as u64, "one CR per window");
+}
+
+fn bench_large_path(_c: &mut Criterion) {
+    large_path_ledger();
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default()
         .sample_size(20)
         .measurement_time(std::time::Duration::from_millis(500))
         .warm_up_time(std::time::Duration::from_millis(200));
-    targets = bench_pkthdr, bench_bufpool, bench_wheel, bench_ring, bench_timely, bench_stores, bench_rpc_path_costs, bench_issue_path
+    targets = bench_pkthdr, bench_bufpool, bench_wheel, bench_ring, bench_timely, bench_stores, bench_rpc_path_costs, bench_issue_path, bench_large_path
 }
 criterion_main!(micro);

@@ -81,11 +81,13 @@ pub struct RpcConfig {
     // ── Event loop tuning ───────────────────────────────────────────────
     /// Max packets per RX burst (at least 1).
     pub rx_batch: usize,
-    /// Max descriptors in the deferred TX queue (§4.3 transmit batching)
-    /// before the event loop flushes mid-pass. The queue also always
-    /// flushes at the end of every event-loop pass, so this bounds batch
-    /// *size*, not latency. At least 1; 1 = one `tx_burst` doorbell per
-    /// packet (the "transmit batching off" ablation).
+    /// Max packets per `tx_burst` doorbell (§4.3 transmit batching), and
+    /// max descriptors in the deferred TX queue before the event loop
+    /// flushes mid-pass (a descriptor is one packet, or a client slot's
+    /// unpaced window of request packets). The queue also always flushes
+    /// at the end of every event-loop pass, so this bounds batch *size*,
+    /// not latency. At least 1; 1 = one `tx_burst` doorbell per packet
+    /// (the "transmit batching off" ablation).
     pub tx_batch: usize,
     /// Timing-wheel slot count and width.
     pub wheel_slots: usize,
@@ -94,12 +96,6 @@ pub struct RpcConfig {
     pub timer_scan_interval_ns: u64,
     /// Packets per multi-packet RQ descriptor (512-way, App. A).
     pub rq_multi_packet_factor: usize,
-    /// Cumulative credit returns (§6.4's future-work optimization): the
-    /// server sends one CR per `cr_batch` request packets instead of one
-    /// per packet (CRs are cumulative, so clients handle this natively).
-    /// Effective batch is capped at half the session credits so the
-    /// client's window can never starve. 1 = the paper's per-packet CRs.
-    pub cr_batch: usize,
 
     // ── Session management (Appendix B) ────────────────────────────────
     /// Send a ping on idle client sessions this often (0 disables).
@@ -148,7 +144,6 @@ impl Default for RpcConfig {
             wheel_granularity_ns: 200,
             timer_scan_interval_ns: 100_000,
             rq_multi_packet_factor: 512,
-            cr_batch: 1,
             ping_interval_ns: 50_000_000,
             failure_timeout_ns: 500_000_000,
             connect_retry_ns: 20_000_000,

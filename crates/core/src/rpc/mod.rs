@@ -45,6 +45,13 @@
 //! queue (§4.2.2), and retransmits. Servers never run a handler twice for
 //! one request number (at-most-once).
 
+// The unit tests that script the other endpoint share the integration
+// tests' fake peer.
+#[cfg(test)]
+#[path = "../../tests/fake_peer/mod.rs"]
+mod fake_peer;
+#[cfg(test)]
+mod run_tests;
 mod rx;
 #[cfg(test)]
 mod sched_tests;

@@ -45,10 +45,16 @@ impl<T: Transport> Rpc<T> {
             self.rx_tokens = toks;
             return;
         }
-        for tok in toks.drain(..) {
-            self.emulate_rq_descriptor_repost();
-            self.process_one_pkt(tok);
+        self.stats.pkts_rx += n as u64;
+        self.work.rx_pkts += n as u64;
+        (0..n).for_each(|_| self.emulate_rq_descriptor_repost());
+        // A routine may consume the packets after its own as one run
+        // (`server_rx_run`); it says how many, and they are skipped here.
+        let mut left = &toks[..];
+        while let Some((&tok, rest)) = left.split_first() {
+            left = &rest[self.process_one_pkt(tok, rest)..];
         }
+        toks.clear();
         self.transport.rx_release();
         self.rx_tokens = toks;
     }
@@ -88,19 +94,20 @@ impl<T: Transport> Rpc<T> {
     /// This is also the one classification point: every parsed packet is
     /// counted exactly once, as a `fast_path_hits` (its routine ran the
     /// §5.2 straight-line case) or a `slow_path_entries` (anything else,
-    /// including packets dropped as stale).
-    fn process_one_pkt(&mut self, tok: RxToken) {
-        self.stats.pkts_rx += 1;
-        self.work.rx_pkts += 1;
+    /// including packets dropped as stale). The packets of `rest` that a
+    /// request packet's run consumes are classified by `server_rx_run`;
+    /// this returns how many that was, for the caller to skip.
+    fn process_one_pkt(&mut self, tok: RxToken, rest: &[RxToken]) -> usize {
         self.work.rx_bytes += tok.len() as u64;
         let Some((_, ty)) = PktHdrView::parse(self.transport.rx_bytes(&tok)) else {
             // Malformed (short / bad magic / unknown type): dropped by the
             // one check, before any type-specific work.
             self.stats.rx_dropped_stale += 1;
-            return;
+            return 0;
         };
+        let mut run = 0;
         let handled = match ty {
-            PktType::Req => self.server_rx_req(&tok),
+            PktType::Req => self.server_rx_req(&tok, rest, &mut run),
             PktType::Resp => self.client_rx_resp(&tok),
             _ => self.process_one_pkt_slow(ty, tok),
         };
@@ -112,6 +119,7 @@ impl<T: Transport> Rpc<T> {
                 self.stats.rx_dropped_stale += 1;
             }
         }
+        run
     }
 
     /// The cold packet types: credit returns, RFRs and management, which
@@ -388,7 +396,11 @@ impl<T: Transport> Rpc<T> {
     /// dispatch-mode handler: it falls through every branch below to run
     /// the handler inline on the RX-ring bytes (zero-copy, §4.2.3) and
     /// queue the response in the same pass.
-    fn server_rx_req(&mut self, tok: &RxToken) -> Handled {
+    ///
+    /// An in-order packet of a multi-packet request that is not its last
+    /// goes on as a run through the packets after it in the burst (`rest`;
+    /// `server_rx_run`), and `run` is set to how many of them it took.
+    fn server_rx_req(&mut self, tok: &RxToken, rest: &[RxToken], run: &mut usize) -> Handled {
         let dpp = self.dpp;
         let b = self.transport.rx_bytes(tok);
         let v = PktHdrView::trusted(b);
@@ -399,7 +411,7 @@ impl<T: Transport> Rpc<T> {
         if sess.role != Role::Server {
             return None;
         }
-        let (peer, remote, credits) = (sess.peer, sess.remote_num, sess.credits);
+        let (peer, remote) = (sess.peer, sess.remote_num);
         let slot_idx = sess.slot_of(req_num);
         let s = sess.slots[slot_idx].server_mut();
 
@@ -467,19 +479,14 @@ impl<T: Transport> Rpc<T> {
         if let Some(buf) = s.req_buf.as_mut() {
             buf.write_pkt_data(p as usize, payload);
         }
+        let handle = DeferredHandle {
+            sess: dest,
+            slot: slot_idx as u8,
+            req_num,
+        };
         if s.req_rcvd < s.req_total {
-            // CR for request packets before the last (§5.1). An ECN mark on
-            // the request packet is echoed on its CR — the receiver-side
-            // half of DCQCN's congestion notification path. With `cr_batch`
-            // > 1, CRs are sent cumulatively every batch-th packet (§6.4's
-            // future-work optimization); the batch is capped at C/2 so the
-            // client's credit window keeps sliding.
-            let batch = self.cfg.cr_batch.clamp(1, (credits as usize / 2).max(1));
-            if batch == 1 || (p as usize + 1).is_multiple_of(batch) {
-                let mut cr = PktHdr::control(PktType::CreditReturn, remote, req_num, p as u16);
-                cr.ecn = v.ecn();
-                self.tx_ctrl(peer, cr);
-            }
+            // Not the last packet: it starts a run, which ends in one CR.
+            *run = self.server_rx_run(rest, handle, v.ecn()).unwrap_or(0);
             return Some(false);
         }
 
@@ -490,11 +497,6 @@ impl<T: Transport> Rpc<T> {
         s.resp_ecn = v.ecn();
         let req_type = s.req_type;
         let mut assembled = s.req_buf.take();
-        let handle = DeferredHandle {
-            sess: dest,
-            slot: slot_idx as u8,
-            req_num,
-        };
         self.stats.handlers_invoked += 1;
         self.work.callbacks += 1;
         let mut straight = false;
@@ -574,6 +576,52 @@ impl<T: Transport> Rpc<T> {
             self.install_response(handle, buf, is_prealloc);
         }
         Some(straight)
+    }
+
+    /// The rest of a run (§5.1 credits, Fig. 6's large requests): packet
+    /// `req_rcvd − 1` of the request `h` names was just committed, and the
+    /// burst's next packets are usually the same request's next ones.
+    /// Consume them while each one is the slot's next packet and not the
+    /// request's last — checked through its header view (type, session,
+    /// `req_num`, `pkt_num`) and its exact payload length before its bytes
+    /// are copied — then classify them, advance `req_rcvd` once, and queue
+    /// one CR naming the run's last packet with the OR of the run's ECN
+    /// marks (the receiver-side half of DCQCN's notification path). CRs
+    /// are cumulative, so that one CR returns every credit of the run.
+    ///
+    /// The first packet that fails a check ends the run and is dispatched
+    /// on its own — the request's last packet that way runs the handler,
+    /// a forged one is dropped like a loss. A lone packet is a run of one.
+    /// Out of line: the single-packet path never enters it. Returns how
+    /// many packets of `rest` it consumed (`None` only if the slot it was
+    /// called for has no assembly buffer — unreachable).
+    #[inline(never)]
+    fn server_rx_run(&mut self, rest: &[RxToken], h: DeferredHandle, ecn: bool) -> Option<usize> {
+        let sess = self.sessions.get_mut(h.sess as usize)?.as_mut()?;
+        let (peer, remote) = (sess.peer, sess.remote_num);
+        let s = sess.slots[h.slot as usize].server_mut();
+        let (first, mut p, mut ecn, buf) = (s.req_rcvd, s.req_rcvd, ecn, s.req_buf.as_mut()?);
+        // The request's last packet is never part of a run.
+        for tok in rest.iter().take((s.req_total - first - 1) as usize) {
+            let b = self.transport.rx_bytes(tok);
+            let Some((v, PktType::Req)) = PktHdrView::parse(b) else {
+                break;
+            };
+            if (v.dest_session(), v.req_num(), v.pkt_num() as u32) != (h.sess, h.req_num, p)
+                || b.len() - PKT_HDR_SIZE != buf.pkt_data_len(p as usize)
+            {
+                break;
+            }
+            buf.write_pkt_data(p as usize, &b[PKT_HDR_SIZE..]);
+            ecn |= v.ecn();
+            self.work.rx_bytes += b.len() as u64;
+            p += 1;
+        }
+        s.req_rcvd = p;
+        self.stats.slow_path_entries += (p - first) as u64;
+        let cr = PktHdr::control(PktType::CreditReturn, remote, h.req_num, (p - 1) as u16);
+        self.tx_ctrl(peer, PktHdr { ecn, ..cr });
+        Some((p - first) as usize)
     }
 
     /// The server slot `h` names, with its session's remote number, if it

@@ -15,9 +15,7 @@ use super::{Rpc, SessionHandle};
 use crate::pkthdr::{PktHdr, PktType};
 use crate::{CcAlgorithm, RpcConfig, RpcError};
 
-#[path = "../../tests/fake_peer/mod.rs"]
-mod fake_peer;
-use fake_peer::{fake_server_accept_session, recv_all, send};
+use super::fake_peer::{fake_server_accept_session, recv_all, send};
 
 const CREDITS: u32 = 8;
 const RESP_BYTES: [usize; 2] = [8, 2500];

@@ -13,17 +13,19 @@ use erpc_transport::{Addr, Transport, TxPacket};
 
 use crate::config::CcAlgorithm;
 use crate::pkthdr::{PktHdr, PktType, PKT_HDR_SIZE};
-use crate::session::{ClientSlot, PendingReq, Role, Session, SessionState, SrvPhase};
+use crate::session::{ClientSlot, PendingReq, Role, Session, SessionState, Slot, SrvPhase};
 use crate::stats::RpcStats;
 
-use super::Rpc;
+use super::{DeferredHandle, Rpc};
 
-/// A reference to TX sequence `seq` of one request incarnation on a client
-/// slot: request data packet `seq` while `seq < N` (N = request packets),
-/// the RFR for response packet `seq − N + 1` otherwise. Both the pacing
-/// wheel and the deferred TX queue hold these — *descriptors*, never
-/// buffer references — so rollback invalidation is an epoch bump and the
-/// msgbuf-ownership invariant of §4.2.2/App. C holds structurally.
+/// A reference to TX sequences `seq..seq + count` of one request
+/// incarnation on a client slot: request data packet `seq` while `seq < N`
+/// (N = request packets), the RFR for response packet `seq − N + 1`
+/// otherwise. Both the pacing wheel and the deferred TX queue hold these —
+/// *descriptors*, never buffer references — so rollback invalidation is an
+/// epoch bump and the msgbuf-ownership invariant of §4.2.2/App. C holds
+/// structurally. `count` is 1 for an RFR and a paced packet; an unpaced
+/// window of request packets is one descriptor (`kick`).
 #[derive(Debug, Clone, Copy)]
 pub(super) struct ClientSeq {
     pub sess: u16,
@@ -31,6 +33,7 @@ pub(super) struct ClientSeq {
     pub req_num: u64,
     pub epoch: u32,
     pub seq: u32,
+    pub count: u32,
 }
 
 /// Entry in the deferred TX queue (§4.3's transmit batching): every packet
@@ -52,16 +55,12 @@ pub(super) enum TxDesc {
         hdr: [u8; PKT_HDR_SIZE],
         body: Vec<u8>,
     },
-    /// A client TX sequence; validated by (req_num, epoch) at drain.
+    /// Client TX sequences; validated once by (req_num, epoch) at drain,
+    /// stamped per sequence, expanded into one packet view each.
     Client(ClientSeq),
-    /// Server response packet `pkt` of a slot; validated by req_num and the
-    /// `Responding` phase at drain.
-    SrvResp {
-        sess: u16,
-        slot: u8,
-        req_num: u64,
-        pkt: u16,
-    },
+    /// Server response packet `.1` of the request `.0` names; validated by
+    /// req_num and the `Responding` phase at drain, when its view is taken.
+    SrvResp(DeferredHandle, u16),
 }
 
 /// Per-descriptor drain resolution (scratch, computed by the validation
@@ -107,6 +106,8 @@ impl<T: Transport> Rpc<T> {
             return None;
         }
         let c = s.slots[r.slot as usize].client_mut();
+        // Within one epoch `num_tx` only grows, so a live first sequence
+        // vouches for the descriptor's whole count.
         let live = c.active && c.req_num == r.req_num && c.tx_epoch == r.epoch && r.seq < c.num_tx;
         live.then_some((s.remote_num, c))
     }
@@ -114,14 +115,20 @@ impl<T: Transport> Rpc<T> {
     /// Drain the deferred TX queue into `Transport::tx_burst`.
     ///
     /// Two passes over the queue:
-    /// 1. *Validate*: msgbuf-backed descriptors are checked against live
-    ///    slot state exactly like reaped wheel entries — a rollback (epoch
+    /// 1. *Validate*: client descriptors are checked against live slot
+    ///    state exactly like reaped wheel entries — a rollback (epoch
     ///    bump), completion, or session teardown since enqueue marks the
-    ///    descriptor stale and it is dropped, never sent. Client sequences
-    ///    get their TX timestamp; RFR headers are encoded.
+    ///    descriptor stale and it is dropped, never sent — and get their
+    ///    TX timestamps, so this pass borrows the slots mutably; RFR
+    ///    headers are encoded.
     /// 2. *Build views + burst*: borrow each surviving packet's bytes
     ///    (msgbuf views for data, owned bytes for ctrl/mgmt) and hand the
-    ///    whole batch to the transport — one doorbell.
+    ///    batch to the transport — one doorbell per `tx_batch` packets. A
+    ///    server response writes nothing at drain, so it is validated here,
+    ///    where its view is taken: one slot lookup, not two.
+    ///
+    /// A counted client descriptor is validated and resolved once, and
+    /// stamped and counted per sequence; only pass 2 sees its packets.
     pub(super) fn flush_tx_batch(&mut self) {
         if self.tx_queue.is_empty() {
             return;
@@ -129,7 +136,9 @@ impl<T: Transport> Rpc<T> {
         let mut queue = std::mem::take(&mut self.tx_queue);
         let mut resolved = std::mem::take(&mut self.tx_resolved);
         resolved.clear();
+        let sent = self.work.tx_pkts;
         for d in queue.iter() {
+            let mut pkts = 1;
             let r = match *d {
                 TxDesc::Ctrl { .. } => {
                     self.stats.ctrl_pkts_tx += 1;
@@ -140,14 +149,16 @@ impl<T: Transport> Rpc<T> {
                     TxResolved::Send
                 }
                 TxDesc::Client(r) => {
-                    // Per-packet TX timestamp for RTT sampling.
+                    // TX timestamp for RTT sampling: the descriptor's
+                    // packets reach the transport together.
                     let t = self.pkt_now();
+                    pkts = r.count as usize;
                     match Self::client_seq_slot(&mut self.sessions, r) {
                         None => TxResolved::Skip,
                         Some((remote, c)) => {
-                            c.stamp_tx(r.seq, t);
+                            (r.seq..r.seq + r.count).for_each(|seq| c.stamp_tx(seq, t));
                             if r.seq < c.req_total {
-                                self.stats.data_pkts_tx += 1;
+                                self.stats.data_pkts_tx += r.count as u64;
                                 TxResolved::Send
                             } else {
                                 self.stats.ctrl_pkts_tx += 1;
@@ -158,34 +169,17 @@ impl<T: Transport> Rpc<T> {
                         }
                     }
                 }
-                TxDesc::SrvResp {
-                    sess,
-                    slot,
-                    req_num,
-                    pkt,
-                } => {
-                    let valid = self.sessions[sess as usize].as_ref().is_some_and(|s| {
-                        s.role == Role::Server && {
-                            let srv = s.slots[slot as usize].server();
-                            srv.req_num == req_num
-                                && srv.phase == SrvPhase::Responding
-                                && srv
-                                    .resp
-                                    .as_ref()
-                                    .is_some_and(|r| (pkt as usize) < r.num_pkts())
-                        }
-                    });
-                    if valid {
-                        self.stats.data_pkts_tx += 1;
-                        TxResolved::Send
-                    } else {
-                        TxResolved::Skip
-                    }
+                TxDesc::SrvResp(..) => {
+                    // Validated in pass 2, where its view is taken (nothing
+                    // here writes a server slot, so one lookup does both):
+                    // counted as sent now, uncounted there if stale.
+                    self.stats.data_pkts_tx += 1;
+                    TxResolved::Send
                 }
             };
             match r {
-                TxResolved::Skip => self.stats.tx_stale_dropped += 1,
-                _ => self.work.tx_pkts += 1,
+                TxResolved::Skip => self.stats.tx_stale_dropped += pkts as u64,
+                _ => self.work.tx_pkts += pkts as u64,
             }
             resolved.push(r);
         }
@@ -201,32 +195,47 @@ impl<T: Transport> Rpc<T> {
             hdr: &[],
             data: &[],
         };
-        // The chunk is sized to the batch (1 / 8 / 64): the common small
-        // batch (a handful of packets per event-loop pass) must not pay
-        // the full 64-entry chunk's initialization, and `tx_batch = 1`
+        // The chunk is the doorbell: at most `tx_batch` of the packets
+        // pass 1 let through, backed by an array of 1 / 8 / 64 so that the
+        // common small batch (a handful of packets per event-loop pass)
+        // does not pay the full 64-entry initialization, and `tx_batch = 1`
         // pays for exactly one.
+        let size = ((self.work.tx_pkts - sent) as usize).min(self.cfg.tx_batch);
         let (mut chunk1, mut chunk8, mut chunk64);
-        let chunk: &mut [TxPacket<'_>] = match queue.len() {
-            1 => {
+        let chunk: &mut [TxPacket<'_>] = match size {
+            0..=1 => {
                 chunk1 = [empty; 1];
                 &mut chunk1
             }
             2..=8 => {
                 chunk8 = [empty; 8];
-                &mut chunk8
+                &mut chunk8[..size]
             }
             _ => {
                 chunk64 = [empty; TX_CHUNK];
-                &mut chunk64
+                &mut chunk64[..size.min(TX_CHUNK)]
             }
         };
         let mut n = 0usize;
         for (d, r) in queue.iter().zip(resolved.iter()) {
-            if matches!(r, TxResolved::Skip) {
-                continue;
-            }
-            let Some(pkt) = Self::tx_packet(&self.sessions, d, r) else {
-                Self::invariant_breach(&mut self.stats, "validated packet lost its buffer");
+            let pkt = match (d, r) {
+                (_, TxResolved::Skip) => continue,
+                (TxDesc::Client(c), TxResolved::Send) if c.count > 1 => {
+                    let (sessions, transport) = (&self.sessions, &mut self.transport);
+                    n = Self::push_window(sessions, transport, &mut self.stats, chunk, n, c);
+                    continue;
+                }
+                _ => Self::tx_packet(&self.sessions, d, r),
+            };
+            let Some(pkt) = pkt else {
+                if let TxDesc::SrvResp(..) = d {
+                    // Stale: the slot moved on since the enqueue.
+                    self.stats.data_pkts_tx -= 1;
+                    self.stats.tx_stale_dropped += 1;
+                    self.work.tx_pkts -= 1;
+                } else {
+                    Self::invariant_breach(&mut self.stats, "validated packet lost its buffer");
+                }
                 continue;
             };
             chunk[n] = pkt;
@@ -244,7 +253,41 @@ impl<T: Transport> Rpc<T> {
         self.tx_resolved = resolved;
     }
 
-    /// The wire bytes of a validated descriptor, borrowed in place.
+    /// The packets of a validated client window `c` (count > 1), appended
+    /// to the `n` views already in `chunk`, ringing the doorbell whenever
+    /// it is full: one slot lookup for the window, then one view per
+    /// sequence. Out of line: a single-packet descriptor never comes here.
+    /// Returns the views left in `chunk`.
+    #[inline(never)]
+    fn push_window<'a>(
+        sessions: &'a [Option<Session>],
+        transport: &mut T,
+        stats: &mut RpcStats,
+        chunk: &mut [TxPacket<'a>],
+        mut n: usize,
+        c: &ClientSeq,
+    ) -> usize {
+        let s = sessions[c.sess as usize].as_ref();
+        let Some((dst, req)) =
+            s.and_then(|s| Some((s.peer, s.slots[c.slot as usize].client().req.as_ref()?)))
+        else {
+            Self::invariant_breach(stats, "validated packet lost its buffer");
+            return n;
+        };
+        for seq in c.seq..c.seq + c.count {
+            let (hdr, data) = req.tx_view(seq as usize);
+            chunk[n] = TxPacket { dst, hdr, data };
+            n += 1;
+            if n == chunk.len() {
+                Self::ring_doorbell(transport, stats, chunk);
+                n = 0;
+            }
+        }
+        n
+    }
+
+    /// The wire bytes of a validated descriptor of one packet, borrowed in
+    /// place.
     fn tx_packet<'a>(
         sessions: &'a [Option<Session>],
         d: &'a TxDesc,
@@ -261,14 +304,17 @@ impl<T: Transport> Rpc<T> {
                 let req = s.slots[c.slot as usize].client().req.as_ref()?;
                 (s.peer, req.tx_view(c.seq as usize))
             }
-            (
-                TxDesc::SrvResp {
-                    sess, slot, pkt, ..
-                },
-                _,
-            ) => {
-                let s = sessions[*sess as usize].as_ref()?;
-                let resp = s.slots[*slot as usize].server().resp.as_ref()?;
+            (TxDesc::SrvResp(h, pkt), _) => {
+                // Live only while the slot still responds to `req_num`.
+                let s = sessions[h.sess as usize].as_ref()?;
+                let Slot::Server(srv) = &s.slots[h.slot as usize] else {
+                    return None;
+                };
+                let resp = srv.resp.as_ref()?;
+                let live = srv.req_num == h.req_num && srv.phase == SrvPhase::Responding;
+                if !live || *pkt as usize >= resp.num_pkts() {
+                    return None;
+                }
                 (s.peer, resp.tx_view(*pkt as usize))
             }
         };
@@ -301,12 +347,12 @@ impl<T: Transport> Rpc<T> {
     /// passive, §5). The msgbuf view is taken at drain time, so a slot
     /// reused before the drain drops the packet.
     pub(super) fn tx_resp_pkt(&mut self, sess: u16, slot_idx: usize, req_num: u64, pkt: u16) {
-        self.queue_tx(TxDesc::SrvResp {
+        let h = DeferredHandle {
             sess,
             slot: slot_idx as u8,
             req_num,
-            pkt,
-        });
+        };
+        self.queue_tx(TxDesc::SrvResp(h, pkt));
     }
 
     /// Let a connected client session send what it may now: start waiting
@@ -340,8 +386,10 @@ impl<T: Transport> Rpc<T> {
     /// packets or RFRs, as far as the session's credits reach: one slot
     /// borrow and one credit/counter update for the whole window, then the
     /// descriptors. In the common case the pacer is bypassed (§5.2.2
-    /// opt 2); only the paced path pays the per-sequence reservation
-    /// arithmetic. A slot left wanting goes back into `wants_tx`.
+    /// opt 2) and the window's request packets leave as one counted
+    /// descriptor; RFRs go one per descriptor, and only the paced path
+    /// pays the per-sequence reservation arithmetic. A slot left wanting
+    /// goes back into `wants_tx`.
     fn kick(&mut self, sess_idx: u16, slot_idx: usize) {
         let Some(sess) = self.sessions[sess_idx as usize].as_mut() else {
             return;
@@ -358,23 +406,26 @@ impl<T: Transport> Rpc<T> {
         if n < want {
             sess.wants_tx.insert(slot_idx);
         }
-        let (req_num, epoch) = (c.req_num, c.tx_epoch);
+        let mut r = ClientSeq {
+            sess: sess_idx,
+            slot: slot_idx as u8,
+            req_num: c.req_num,
+            epoch: c.tx_epoch,
+            seq: first,
+            count: 1,
+        };
+        let req_end = (first + n).min(c.req_total);
         let bypass = matches!(self.cfg.cc, CcAlgorithm::None)
             || (self.cfg.opt_rate_limiter_bypass && sess.cc.is_uncongested());
-        for seq in first..first + n {
-            let r = ClientSeq {
-                sess: sess_idx,
-                slot: slot_idx as u8,
-                req_num,
-                epoch,
-                seq,
-            };
+        while r.seq < first + n {
             if bypass {
-                self.stats.pkts_bypassed_pacer += 1;
+                r.count = if r.seq < req_end { req_end - r.seq } else { 1 };
+                self.stats.pkts_bypassed_pacer += r.count as u64;
                 self.queue_tx(TxDesc::Client(r));
             } else {
                 self.pace_or_send(r);
             }
+            r.seq += r.count;
         }
     }
 

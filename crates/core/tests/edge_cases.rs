@@ -302,23 +302,32 @@ fn disconnect_then_reconnect() {
 }
 
 #[test]
-fn cumulative_credit_returns() {
-    // §6.4 future work, implemented: one CR per cr_batch request packets.
-    // Protocol stays correct (incl. under loss) and control traffic drops.
-    // `sink` mode (large request, 32 B response — the Figure 6 shape)
-    // counts CRs; `echo` mode under loss checks correctness. A generous
-    // RTO keeps shared-core scheduling pauses from injecting spurious
-    // retransmissions (whose duplicates legitimately get extra CRs).
-    let run = |cr_batch: usize, loss: f64, echo: bool| -> (u64, u64) {
+fn per_run_credit_returns() {
+    // The server answers each in-order run of a request's packets with one
+    // cumulative CR (§5.1; §6.4's future work). `sink` mode (20-packet
+    // request, 32 B response — the Figure 6 shape), one request at a time:
+    // all 20 packets leave in one flush and arrive in one RX burst, so
+    // packets 0–18 are one run and draw exactly one CR (packet 19 is
+    // acknowledged by the response). Lossless, and with the RTO far above
+    // any host stall, so no retransmission adds a CR. `echo` mode under
+    // 2 % loss each way checks the bytes through go-back-N.
+    let run = |loss: f64, echo: bool| -> (u64, u64) {
         let fabric = MemFabric::new(MemFabricConfig {
             loss_prob: loss,
             seed: 0xCC,
             ..Default::default()
         });
-        let c = RpcConfig {
-            cr_batch,
-            rto_ns: if loss > 0.0 { 500_000 } else { 50_000_000 },
-            ..cfg()
+        let c = if loss > 0.0 {
+            RpcConfig {
+                rto_ns: 500_000,
+                ..cfg()
+            }
+        } else {
+            RpcConfig {
+                rto_ns: 60_000_000_000,
+                opt_adaptive_rto: false,
+                ..cfg()
+            }
         };
         let mut server = Rpc::new(fabric.create_transport(Addr::new(0, 0)), c.clone());
         server.register_request_handler(
@@ -336,7 +345,7 @@ fn cumulative_credit_returns() {
         let mut client = Rpc::new(fabric.create_transport(Addr::new(1, 0)), c);
         let sess = connect(&mut client, &mut server, Addr::new(0, 0));
         let done = Rc::new(Cell::new(0usize));
-        for _ in 0..5u64 {
+        for i in 0..5usize {
             let size = 20_000; // 20 request packets
             let mut req = client.alloc_msg_buffer(size);
             let payload: Vec<u8> = (0..size).map(|j| (j % 251) as u8).collect();
@@ -356,34 +365,25 @@ fn cumulative_credit_returns() {
                     ctx.free_msg_buffer(comp.resp);
                 })
                 .unwrap();
+            let start = std::time::Instant::now();
+            while done.get() <= i {
+                client.run_event_loop_once();
+                server.run_event_loop_once();
+                assert!(start.elapsed().as_secs() < 30, "stalled (loss {loss})");
+            }
         }
-        let start = std::time::Instant::now();
-        while done.get() < 5 {
-            client.run_event_loop_once();
-            server.run_event_loop_once();
-            assert!(
-                start.elapsed().as_secs() < 30,
-                "stalled (cr_batch {cr_batch})"
-            );
-        }
-        // Quiesce: credits fully restored ⇒ no leak despite batched CRs.
+        // Quiesce: credits fully restored ⇒ no leak through cumulative CRs.
         assert_eq!(
             client.session_credits_available(sess),
             Some(client.config().session_credits)
         );
         (server.stats().ctrl_pkts_tx, client.stats().retransmissions)
     };
-    let (crs_per_pkt, retx1) = run(1, 0.0, false);
-    let (crs_batched, retx2) = run(8, 0.0, false);
-    if retx1 == 0 && retx2 == 0 {
-        // 19 CRs/message vs 2 (packets 8 and 16 of 20).
-        assert!(
-            crs_batched * 4 < crs_per_pkt,
-            "batching must cut control packets: {crs_per_pkt} vs {crs_batched}"
-        );
-    }
-    // Still correct under loss (echo both ways).
-    let (_, retx) = run(8, 0.05, true);
+    let (crs, retx) = run(0.0, false);
+    assert_eq!(retx, 0);
+    assert_eq!(crs, 5, "one CR per 20-packet request");
+    // Still byte-exact under loss (echo both ways).
+    let (_, retx) = run(0.02, true);
     assert!(retx > 0, "loss path exercised");
 }
 

@@ -116,6 +116,11 @@ fn clean_network_multi_packet() {
     let mut h = harness(FaultConfig::default(), 5_000_000);
     let retx = run_echos(&mut h, 5, 5000, 1_000_000_000);
     assert_eq!(retx, 0, "no loss ⇒ no retransmissions");
+    // One CR per request packet but the last (4 of 5, five times): a
+    // 1 KiB packet takes longer to serialize than a poll takes, so the
+    // server finds one packet per pass and no run forms (see
+    // `golden_case`).
+    assert_eq!(h.eps[0].rpc.stats().ctrl_pkts_tx, 20);
 }
 
 #[test]
@@ -153,6 +158,13 @@ fn reordering_treated_as_loss() {
 /// `(retransmissions, handlers invoked, responses completed, stale drops)`
 /// — *and* the same straight-line/general classification —
 /// `(fast_path_hits, slow_path_entries)`, both endpoints summed — exactly.
+///
+/// They also held unchanged when the server began answering an in-order
+/// run of a burst's request packets with one cumulative CR: the simulated
+/// link delivers a 1 KiB packet more slowly than an endpoint polls, so
+/// `Rpc` is handed one packet per event-loop pass and every run is a run
+/// of one (`clean_network_multi_packet` pins that). Runs are exercised
+/// over `MemFabric` instead (`crates/core/src/rpc/run_tests.rs`).
 fn golden_case(faults: FaultConfig, n: u64, size: usize, budget: u64, golden: [u64; 6]) {
     let mut h = harness(faults, 1_000_000);
     let retx = run_echos(&mut h, n, size, budget);
