@@ -1,6 +1,6 @@
 //! Bench target regenerating this experiment; see
 //! `erpc_bench::experiments::transport_ablation` for the cost-ladder
-//! mapping (per-packet loop → sendmmsg → io_uring → io_uring+SQPOLL).
+//! mapping (per-packet loop → sendmmsg → segmented).
 
 fn main() {
     erpc_bench::experiments::transport_ablation::run();

@@ -25,9 +25,7 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use erpc::{MsgBuf, Rpc, RpcConfig, RpcStats, SessionHandle};
-use erpc_transport::{
-    Addr, FaultConfig, FaultStats, FaultTransport, SocketTransport, UdpConfig, UdpTransport,
-};
+use erpc_transport::{Addr, FaultConfig, FaultStats, FaultTransport, UdpConfig, UdpTransport};
 
 const ECHO: u8 = 1;
 
@@ -116,10 +114,10 @@ fn bind_pair(opts: &ChaosOpts) -> (Ft, Ft) {
         UdpTransport::bind(Addr::new(1, 0), local, ucfg).expect("udp bind"),
         fcfg,
     );
-    let at_a = a.local_addr().expect("local_addr");
-    let at_b = b.local_addr().expect("local_addr");
-    a.add_route(Addr::new(1, 0), at_b);
-    b.add_route(Addr::new(0, 0), at_a);
+    let at_a = a.inner().local_addr().expect("local_addr");
+    let at_b = b.inner().local_addr().expect("local_addr");
+    a.inner_mut().add_route(Addr::new(1, 0), at_b);
+    b.inner_mut().add_route(Addr::new(0, 0), at_a);
     (a, b)
 }
 

@@ -81,8 +81,6 @@ pub mod pkthdr;
 pub mod rpc;
 pub mod session;
 pub mod stats;
-#[cfg(target_os = "linux")]
-pub mod uring_pool;
 pub mod worker;
 
 pub use channel::{CallHandle, Channel, RpcCall, RpcMessage, TypedCallHandle};

@@ -278,36 +278,6 @@ impl BufPool {
             self.classes[class].push(m.buf);
         }
     }
-
-    /// Registration hook: draw one raw pool buffer of at least `min_size`
-    /// bytes (power-of-two sized, freelist-recycled like `alloc`). Used
-    /// to donate RX buffers to kernel rings — e.g. the io_uring
-    /// provided-buffer ring — so completions land in pooled memory.
-    pub fn alloc_raw(&mut self, min_size: usize) -> Box<[u8]> {
-        let class = Self::class_of(min_size.max(64));
-        if let Some(b) = self.classes[class].pop() {
-            self.allocs_reused += 1;
-            b
-        } else {
-            self.allocs_new += 1;
-            // lint:allow(hot-path-alloc): pool-miss path, counted by
-            // allocs_new (registration happens at setup, not steady state).
-            vec![0u8; 1 << class].into_boxed_slice()
-        }
-    }
-
-    /// Inverse of [`BufPool::alloc_raw`]: recycle a raw buffer reclaimed
-    /// from a kernel ring. Non-power-of-two strays are dropped rather
-    /// than poisoning a freelist class.
-    pub fn free_raw(&mut self, buf: Box<[u8]>) {
-        if !buf.len().is_power_of_two() {
-            return;
-        }
-        let class = buf.len().trailing_zeros() as usize;
-        if self.classes[class].len() < 1024 {
-            self.classes[class].push(buf);
-        }
-    }
 }
 
 #[cfg(test)]

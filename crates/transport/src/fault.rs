@@ -1,8 +1,8 @@
 //! Deterministic fault injection around any [`Transport`].
 //!
 //! The virtual-time simulator has always been able to drop, delay and
-//! reorder packets; the *real* datapaths (`MemTransport`, `UdpTransport`,
-//! `IoUringTransport`) had never seen a fault until this wrapper existed.
+//! reorder packets; the *real* datapaths (`MemTransport`, `UdpTransport`)
+//! had never seen a fault until this wrapper existed.
 //! [`FaultTransport`] composes around any inner transport and perturbs the
 //! **TX** direction with seeded, reproducible faults:
 //!
@@ -437,16 +437,6 @@ impl<T: Transport> Transport for FaultTransport<T> {
 
     fn rx_ring_size(&self) -> usize {
         self.inner.rx_ring_size()
-    }
-}
-
-impl<T: crate::SocketTransport> crate::SocketTransport for FaultTransport<T> {
-    fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.inner.local_addr()
-    }
-
-    fn add_route(&mut self, peer: Addr, at: std::net::SocketAddr) {
-        self.inner.add_route(peer, at)
     }
 }
 

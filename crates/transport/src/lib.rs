@@ -16,6 +16,11 @@
 //! * `SimTransport` (in the `erpc-sim` crate) — attaches an endpoint to the
 //!   deterministic discrete-event fabric for cluster-scale experiments.
 //!
+//! [`UdpTransport`] is the one kernel socket backend. The `uring` module
+//! keeps only `IoUringTransport::probe` (Linux), which reports whether this
+//! kernel grants io_uring; there is no io_uring datapath (DESIGN.md §
+//! "Transport backends" records why).
+//!
 //! The transport also supplies the **clock** ([`Transport::now_ns`]):
 //! wall-clock monotonic nanoseconds normally, virtual nanoseconds in the
 //! simulator, so the protocol layer is oblivious to the difference.
@@ -43,7 +48,7 @@ pub use pkt::{Addr, RxToken, TransportStats, TxPacket};
 pub use ring::PacketRing;
 pub use udp::{UdpBatching, UdpConfig, UdpTransport};
 #[cfg(target_os = "linux")]
-pub use uring::{IoUringTransport, UringConfig, UringError};
+pub use uring::{IoUringTransport, UringError};
 
 /// Unreliable, connectionless, burst-oriented packet I/O — the substrate
 /// eRPC runs on (§3: "a transport layer that provides basic unreliable
@@ -103,16 +108,4 @@ pub trait Transport {
     /// flight toward this endpoint across all sessions (§4.3.1 sizes session
     /// credits against this).
     fn rx_ring_size(&self) -> usize;
-}
-
-/// The extra surface real-socket transports share beyond [`Transport`]:
-/// an OS socket address and explicit peer routing. Lets harnesses (bench
-/// clusters, integration tests) run the same body over [`UdpTransport`]
-/// and `IoUringTransport` generically.
-pub trait SocketTransport: Transport {
-    /// The socket address this transport is bound to.
-    fn local_addr(&self) -> std::io::Result<std::net::SocketAddr>;
-
-    /// Install the socket address for a peer endpoint id.
-    fn add_route(&mut self, peer: Addr, at: std::net::SocketAddr);
 }

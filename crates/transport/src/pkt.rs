@@ -157,16 +157,9 @@ pub struct TransportStats {
     /// have been) pending — the fairness valve that keeps a flooding
     /// peer from starving TX/timers within one event-loop pass.
     pub rx_drain_capped: u64,
-    /// Submission-queue entries handed to the kernel (io_uring only).
-    pub sqe_submitted: u64,
-    /// Completion-queue entries harvested from the shared CQ ring
-    /// (io_uring only; harvesting is a memory read, not a syscall).
-    pub cqe_harvested: u64,
-    /// `io_uring_enter` syscalls issued. The io_uring steady state is
-    /// **zero** with SQPOLL (the kernel's SQ thread polls the ring) and
-    /// at most one per event-loop pass without it — compare with
-    /// `tx_syscalls`/`rx_syscalls`, which grow per *burst* under
-    /// `sendmmsg`/`recvmmsg` and per *packet* without batching.
+    /// `io_uring_enter` syscalls issued. No transport increments it any
+    /// more (there is no io_uring datapath); it stays because the
+    /// benchmark's `transport.syscalls_per_rpc` reads it.
     pub ring_enters: u64,
 }
 

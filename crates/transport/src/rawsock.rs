@@ -1,12 +1,11 @@
-//! Raw socket-API FFI shared by the kernel-bypassing datapaths of
-//! [`crate::UdpTransport`] (`sendmmsg`/`recvmmsg`, `UDP_SEGMENT`/`UDP_GRO`
-//! control messages) and [`crate::IoUringTransport`] (`sendmsg` SQEs,
-//! multishot `recvmsg`).
+//! Raw socket-API FFI for the batched rungs of [`crate::UdpTransport`]
+//! (`sendmmsg`/`recvmmsg`, `UDP_SEGMENT`/`UDP_GRO` control messages).
+//! The io_uring probe ([`crate::uring`]) borrows `MsgHdr` for the
+//! `recvmsg` it arms.
 //!
 //! Linux-only. Struct layouts follow the x86-64/aarch64 Linux ABI
 //! (`struct iovec`, `struct msghdr`, `struct mmsghdr`,
-//! `sockaddr_in{,6}`); compile-time assertions in [`crate::uring`] pin
-//! the io_uring side, and the `layout` test below pins these.
+//! `sockaddr_in{,6}`); the `layout` test below pins them.
 
 use std::net::SocketAddr;
 use std::os::raw::{c_int, c_uint, c_void};

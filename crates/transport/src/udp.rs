@@ -28,12 +28,11 @@
 //!    the kernel's limits (≤ 64 segments, ≤ 65 507 B, segment ≤ MTU),
 //!    never reorder a burst, and a run of one carries no cmsg.
 //!
-//! The third rung is probed, like `IoUringTransport`'s ladder: if
-//! `setsockopt(UDP_GRO)` is refused at bind the transport starts on the
-//! `Mmsg` rung; if the kernel refuses a `UDP_SEGMENT` send
-//! (`EINVAL`/`EIO`/`ENOPROTOOPT`) TX drops to the `Mmsg` rung for good and
-//! the refused run is resent per packet. Either is counted in
-//! `TransportStats::gso_fallbacks`.
+//! The third rung is probed: if `setsockopt(UDP_GRO)` is refused at bind
+//! the transport starts on the `Mmsg` rung; if the kernel refuses a
+//! `UDP_SEGMENT` send (`EINVAL`/`EIO`/`ENOPROTOOPT`) TX drops to the
+//! `Mmsg` rung for good and the refused run is resent per packet. Either
+//! is counted in `TransportStats::gso_fallbacks`.
 //!
 //! RX buffers are one arena; a token's `slot` is a byte offset into it. A
 //! coalesced datagram holding more packets than the caller asked for is
@@ -120,8 +119,8 @@ const MAX_RUN_BYTES: usize = 65_507;
 /// Messages per TX burst the scratch arrays hold before they grow.
 const TX_RESERVE: usize = 64;
 
-/// Test hook (`bind_inner`'s `fail_at`, as `IoUringTransport::bind_inner`
-/// has per probe stage): pretend `setsockopt(UDP_GRO)` was refused.
+/// Test hook (`bind_inner`'s `fail_at`, as the io_uring probe has per
+/// rung): pretend `setsockopt(UDP_GRO)` was refused.
 const FAIL_GRO: u8 = 1;
 /// Test hook: make the kernel refuse `UDP_SEGMENT` sends (the cmsg asks
 /// for a segment size no route can carry, so the refusal is the real one).
@@ -129,8 +128,7 @@ const FAIL_GRO: u8 = 1;
 const FAIL_SEGMENT_SEND: u8 = 2;
 
 /// FFI scratch for Linux's multi-message socket syscalls; the struct
-/// layouts and extern declarations live in [`crate::rawsock`], shared
-/// with the io_uring backend.
+/// layouts and extern declarations live in [`crate::rawsock`].
 #[cfg(target_os = "linux")]
 mod mmsg {
     pub use crate::rawsock::{
@@ -794,16 +792,6 @@ impl Transport for UdpTransport {
 
     fn rx_ring_size(&self) -> usize {
         self.cfg.ring_capacity
-    }
-}
-
-impl crate::SocketTransport for UdpTransport {
-    fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        UdpTransport::local_addr(self)
-    }
-
-    fn add_route(&mut self, peer: Addr, at: SocketAddr) {
-        UdpTransport::add_route(self, peer, at)
     }
 }
 

@@ -1,97 +1,37 @@
-//! io_uring transport backend: the zero-syscall steady-state UDP datapath.
+//! The io_uring probe: could this kernel run an io_uring UDP datapath?
 //!
-//! PR 5 cut the kernel boundary to O(1) syscalls per event-loop pass via
-//! `sendmmsg`/`recvmmsg`; this backend takes the next rung — **O(0)**.
-//! TX packets become batched `IORING_OP_SENDMSG` SQEs written into a
-//! shared-memory submission queue; RX is one **multishot**
-//! `IORING_OP_RECVMSG` whose completions land directly in a registered
-//! **provided-buffer ring**, harvested from the shared-memory completion
-//! queue without entering the kernel. With [`UringConfig::sqpoll`] the
-//! kernel's SQ thread polls the submission queue too, so a steady-state
-//! event-loop pass makes **zero** syscalls; without it, exactly one
-//! `io_uring_enter` per pass submits the TX batch (the doorbell).
-//!
-//! Same discipline as the `sendmmsg` work in [`crate::udp`]: raw
-//! `io_uring_setup`/`io_uring_enter`/`io_uring_register` FFI with
-//! hand-laid ring structs, Linux-only, no new dependencies. Construction
-//! **runtime-probes** the kernel: io_uring may be compiled out, denied by
-//! seccomp (many container runtimes), or too old for provided-buffer
-//! rings (5.19) / multishot recvmsg (6.0). Every rung of the probe maps
-//! to a typed [`UringError::Unavailable`], so callers fall back to
-//! [`crate::UdpTransport`] instead of failing — and clean up every fd and
-//! mapping acquired on the way (RAII guards; asserted by the leak tests).
-//!
-//! RX buffers can be donated by the caller ([`IoUringTransport::
-//! bind_with_buffers`]) so completions land in pooled memory — the core
-//! crate's `BufPool` registration hooks use this — and reclaimed with
-//! [`IoUringTransport::reclaim_rx_buffers`].
+//! There is no io_uring datapath: [`crate::UdpTransport`] is the one
+//! kernel socket backend (DESIGN.md § "Transport backends" records why).
+//! [`IoUringTransport::probe`] stays because the benchmark prints its
+//! answer. It climbs the ladder such a datapath would construct, with the
+//! geometry it would use: socket → `io_uring_setup` → `FEAT_SINGLE_MMAP`
+//! → ring mmaps → provided-buffer ring (5.19) → multishot `RECVMSG` (6.0)
+//! armed on the socket, which it then cancels and waits out. Each rung
+//! maps to a typed [`UringError::Unavailable`]; RAII guards hold every fd
+//! and mapping, so a failure at any rung releases what the rungs below
+//! took. Raw FFI by syscall number with hand-laid structs, no liburing.
 
-use std::collections::HashMap;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::UdpSocket;
+use std::os::fd::IntoRawFd;
+use std::os::raw::{c_int, c_long, c_void};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::time::{Duration, Instant};
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::rawsock::MsgHdr;
 
-use crate::clock::MonoClock;
-use crate::pkt::{Addr, RxToken, TransportStats, TxPacket};
-use crate::rawsock::{IoVec, MsgHdr, RawAddr};
-use crate::Transport;
+/// The frozen handle of the probe. It has no values: there is no io_uring
+/// transport to construct, only [`IoUringTransport::probe`] to ask.
+#[derive(Debug)]
+pub enum IoUringTransport {}
 
-/// Configuration for an [`IoUringTransport`].
-#[derive(Debug, Clone)]
-pub struct UringConfig {
-    /// Max packet bytes at the eRPC layer (header + data).
-    pub mtu: usize,
-    /// RX descriptors: provided buffers registered with the kernel
-    /// (rounded up to a power of two).
-    pub ring_capacity: usize,
-    /// TX descriptors: packets that may be in flight inside the ring at
-    /// once (rounded up to a power of two). A full TX queue drops, like
-    /// a NIC ring (`tx_drop_ring_full`).
-    pub tx_depth: usize,
-    /// Kernel SQ polling thread: the kernel busy-polls the submission
-    /// queue, so steady-state submission is a shared-memory tail store —
-    /// zero syscalls. Costs one kernel thread per ring; after
-    /// `sqpoll_idle_ms` idle the thread sleeps and the next submission
-    /// pays one wakeup `io_uring_enter`.
-    pub sqpoll: bool,
-    /// Idle time before the SQPOLL thread sleeps.
-    pub sqpoll_idle_ms: u32,
-    /// Probability of dropping each TX packet (injected loss).
-    pub loss_prob: f64,
-    /// RNG seed for injected loss.
-    pub seed: u64,
-    /// Fairness valve: max packets surfaced per `rx_burst` call even if
-    /// the caller asks for more (early exit counted in
-    /// `TransportStats::rx_drain_capped`).
-    pub rx_drain_cap: usize,
-}
-
-impl Default for UringConfig {
-    fn default() -> Self {
-        Self {
-            mtu: 1040,
-            ring_capacity: 1024,
-            tx_depth: 256,
-            sqpoll: false,
-            sqpoll_idle_ms: 50,
-            loss_prob: 0.0,
-            seed: 0x5eed,
-            rx_drain_cap: 512,
-        }
-    }
-}
-
-/// Why an [`IoUringTransport`] could not be constructed.
+/// Why the io_uring probe failed.
 #[derive(Debug)]
 pub enum UringError {
     /// io_uring is missing, denied, or too old on this kernel. The
     /// `stage` names the probe rung that failed and `errno` the kernel's
-    /// answer; callers should fall back to [`crate::UdpTransport`].
+    /// answer.
     Unavailable { stage: &'static str, errno: i32 },
-    /// Plain socket setup failed (bind, etc.) — not an io_uring problem,
-    /// so falling back to UDP would fail the same way.
+    /// Plain socket setup failed (bind, etc.) — not an io_uring problem.
     Io(std::io::Error),
 }
 
@@ -109,241 +49,211 @@ impl std::fmt::Display for UringError {
 impl std::error::Error for UringError {}
 
 // ── Hand-laid kernel ABI ────────────────────────────────────────────────
+//
+// Syscall numbers, flags, and the structs the probe passes, laid out by
+// hand against `linux/io_uring.h`; the assertions below pin their layout.
+// The syscall numbers are asm-generic (x86-64 and aarch64 agree).
 
-/// Raw io_uring ABI: syscall numbers, setup/enter/register flags, and the
-/// ring structs, laid out by hand against `linux/io_uring.h`. Compile-time
-/// size/offset assertions below pin every struct; the probe pins runtime
-/// behavior.
-pub(crate) mod sys {
-    use std::os::raw::{c_int, c_long, c_uint, c_void};
+const SYS_IO_URING_SETUP: c_long = 425;
+const SYS_IO_URING_ENTER: c_long = 426;
+const SYS_IO_URING_REGISTER: c_long = 427;
+const IORING_SETUP_CQSIZE: u32 = 1 << 3;
+const IORING_SETUP_CLAMP: u32 = 1 << 4;
+const IORING_FEAT_SINGLE_MMAP: u32 = 1 << 0;
+const IORING_OFF_SQ_RING: i64 = 0;
+const IORING_OFF_SQES: i64 = 0x1000_0000;
+const IORING_ENTER_GETEVENTS: u32 = 1 << 0;
+const IORING_REGISTER_PBUF_RING: u32 = 22;
+const IORING_UNREGISTER_PBUF_RING: u32 = 23;
 
-    // asm-generic syscall numbers (x86-64 and aarch64 agree).
-    pub const SYS_IO_URING_SETUP: c_long = 425;
-    pub const SYS_IO_URING_ENTER: c_long = 426;
-    pub const SYS_IO_URING_REGISTER: c_long = 427;
+const IORING_OP_RECVMSG: u8 = 10;
+const IORING_OP_ASYNC_CANCEL: u8 = 14;
+/// `sqe.ioprio` flag: keep the recv armed across completions.
+const IORING_RECV_MULTISHOT: u16 = 1 << 1;
+/// `sqe.flags` bit: pick the buffer from the registered group.
+const IOSQE_BUFFER_SELECT: u8 = 1 << 5;
+const IORING_CQE_F_MORE: u32 = 1 << 1;
 
-    pub const IORING_SETUP_SQPOLL: u32 = 1 << 1;
-    pub const IORING_SETUP_CQSIZE: u32 = 1 << 3;
-    pub const IORING_SETUP_CLAMP: u32 = 1 << 4;
+const EINTR: i32 = 4;
+const PROT_READ: c_int = 1;
+const PROT_WRITE: c_int = 2;
+const MAP_SHARED: c_int = 0x01;
+const MAP_PRIVATE: c_int = 0x02;
+const MAP_ANONYMOUS: c_int = 0x20;
+const MAP_POPULATE: c_int = 0x8000;
 
-    pub const IORING_FEAT_SINGLE_MMAP: u32 = 1 << 0;
-
-    pub const IORING_OFF_SQ_RING: i64 = 0;
-    pub const IORING_OFF_SQES: i64 = 0x1000_0000;
-
-    pub const IORING_ENTER_GETEVENTS: c_uint = 1 << 0;
-    pub const IORING_ENTER_SQ_WAKEUP: c_uint = 1 << 1;
-    pub const IORING_ENTER_SQ_WAIT: c_uint = 1 << 2;
-
-    pub const IORING_SQ_NEED_WAKEUP: u32 = 1 << 0;
-
-    pub const IORING_OP_SENDMSG: u8 = 9;
-    pub const IORING_OP_RECVMSG: u8 = 10;
-    pub const IORING_OP_ASYNC_CANCEL: u8 = 14;
-
-    /// `sqe.ioprio` flag: keep the recv armed across completions.
-    pub const IORING_RECV_MULTISHOT: u16 = 1 << 1;
-    /// `sqe.flags` bit: pick the buffer from the registered group.
-    pub const IOSQE_BUFFER_SELECT: u8 = 1 << 5;
-
-    pub const IORING_CQE_F_BUFFER: u32 = 1 << 0;
-    pub const IORING_CQE_F_MORE: u32 = 1 << 1;
-    pub const IORING_CQE_BUFFER_SHIFT: u32 = 16;
-
-    pub const IORING_REGISTER_PBUF_RING: c_uint = 22;
-    pub const IORING_UNREGISTER_PBUF_RING: c_uint = 23;
-
-    pub const MSG_TRUNC: u32 = 0x20;
-    pub const MSG_DONTWAIT: u32 = 0x40;
-
-    pub const EINTR: i32 = 4;
-    pub const EAGAIN: i32 = 11;
-    pub const EBUSY: i32 = 16;
-
-    pub const PROT_READ: c_int = 1;
-    pub const PROT_WRITE: c_int = 2;
-    pub const MAP_SHARED: c_int = 0x01;
-    pub const MAP_PRIVATE: c_int = 0x02;
-    pub const MAP_ANONYMOUS: c_int = 0x20;
-    pub const MAP_POPULATE: c_int = 0x8000;
-
-    /// `struct io_sqring_offsets`.
-    #[repr(C)]
-    #[derive(Debug, Default, Clone, Copy)]
-    pub struct SqringOffsets {
-        pub head: u32,
-        pub tail: u32,
-        pub ring_mask: u32,
-        pub ring_entries: u32,
-        pub flags: u32,
-        pub dropped: u32,
-        pub array: u32,
-        pub resv1: u32,
-        pub user_addr: u64,
-    }
-
-    /// `struct io_cqring_offsets`.
-    #[repr(C)]
-    #[derive(Debug, Default, Clone, Copy)]
-    pub struct CqringOffsets {
-        pub head: u32,
-        pub tail: u32,
-        pub ring_mask: u32,
-        pub ring_entries: u32,
-        pub overflow: u32,
-        pub cqes: u32,
-        pub flags: u32,
-        pub resv1: u32,
-        pub user_addr: u64,
-    }
-
-    /// `struct io_uring_params`.
-    #[repr(C)]
-    #[derive(Debug, Default, Clone, Copy)]
-    pub struct UringParams {
-        pub sq_entries: u32,
-        pub cq_entries: u32,
-        pub flags: u32,
-        pub sq_thread_cpu: u32,
-        pub sq_thread_idle: u32,
-        pub features: u32,
-        pub wq_fd: u32,
-        pub resv: [u32; 3],
-        pub sq_off: SqringOffsets,
-        pub cq_off: CqringOffsets,
-    }
-
-    /// `struct io_uring_sqe` (64-byte base form; the unions are collapsed
-    /// to the members this backend uses).
-    #[repr(C)]
-    #[derive(Debug, Default, Clone, Copy)]
-    pub struct Sqe {
-        pub opcode: u8,
-        pub flags: u8,
-        pub ioprio: u16,
-        pub fd: i32,
-        pub off: u64,
-        pub addr: u64,
-        pub len: u32,
-        /// `msg_flags` for sendmsg/recvmsg, `cancel_flags` for cancel.
-        pub op_flags: u32,
-        pub user_data: u64,
-        /// `buf_group` for BUFFER_SELECT ops (shares the slot with
-        /// `buf_index`).
-        pub buf_group: u16,
-        pub personality: u16,
-        pub splice_fd_in: i32,
-        pub addr3: u64,
-        pub pad2: u64,
-    }
-
-    /// `struct io_uring_cqe` (16-byte base form).
-    #[repr(C)]
-    #[derive(Debug, Clone, Copy)]
-    pub struct Cqe {
-        pub user_data: u64,
-        pub res: i32,
-        pub flags: u32,
-    }
-
-    /// `struct io_uring_buf`: one provided-buffer descriptor in the ring.
-    #[repr(C)]
-    #[derive(Debug, Clone, Copy)]
-    pub struct BufDesc {
-        pub addr: u64,
-        pub len: u32,
-        pub bid: u16,
-        pub resv: u16,
-    }
-
-    /// `struct io_uring_buf_reg`: argument of `IORING_REGISTER_PBUF_RING`.
-    #[repr(C)]
-    #[derive(Debug, Default, Clone, Copy)]
-    pub struct BufReg {
-        pub ring_addr: u64,
-        pub ring_entries: u32,
-        pub bgid: u16,
-        pub flags: u16,
-        pub resv: [u64; 3],
-    }
-
-    /// `struct io_uring_recvmsg_out`: header the kernel prepends to every
-    /// multishot-recvmsg payload inside the provided buffer.
-    #[repr(C)]
-    #[derive(Debug, Clone, Copy)]
-    pub struct RecvmsgOut {
-        pub namelen: u32,
-        pub controllen: u32,
-        pub payloadlen: u32,
-        pub flags: u32,
-    }
-
-    // Compile-time ABI pinning: sizes and field offsets of every
-    // hand-laid struct against linux/io_uring.h (64-bit).
-    const _: () = {
-        use std::mem::{offset_of, size_of};
-        assert!(size_of::<SqringOffsets>() == 40);
-        assert!(size_of::<CqringOffsets>() == 40);
-        assert!(size_of::<UringParams>() == 120);
-        assert!(size_of::<Sqe>() == 64);
-        assert!(size_of::<Cqe>() == 16);
-        assert!(size_of::<BufDesc>() == 16);
-        assert!(size_of::<BufReg>() == 40);
-        assert!(size_of::<RecvmsgOut>() == 16);
-        assert!(offset_of!(UringParams, features) == 20);
-        assert!(offset_of!(UringParams, sq_off) == 40);
-        assert!(offset_of!(UringParams, cq_off) == 80);
-        assert!(offset_of!(SqringOffsets, array) == 24);
-        assert!(offset_of!(CqringOffsets, cqes) == 20);
-        assert!(offset_of!(Sqe, fd) == 4);
-        assert!(offset_of!(Sqe, addr) == 16);
-        assert!(offset_of!(Sqe, len) == 24);
-        assert!(offset_of!(Sqe, op_flags) == 28);
-        assert!(offset_of!(Sqe, user_data) == 32);
-        assert!(offset_of!(Sqe, buf_group) == 40);
-        assert!(offset_of!(Sqe, addr3) == 48);
-        assert!(offset_of!(BufDesc, bid) == 12);
-        assert!(offset_of!(BufReg, bgid) == 12);
-        assert!(offset_of!(RecvmsgOut, payloadlen) == 8);
-    };
-
-    extern "C" {
-        pub fn syscall(num: c_long, ...) -> c_long;
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            off: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        pub fn close(fd: c_int) -> c_int;
-    }
+/// `struct io_sqring_offsets`.
+#[repr(C)]
+#[derive(Debug, Default, Clone, Copy)]
+struct SqringOffsets {
+    head: u32,
+    tail: u32,
+    ring_mask: u32,
+    ring_entries: u32,
+    flags: u32,
+    dropped: u32,
+    array: u32,
+    resv1: u32,
+    user_addr: u64,
 }
 
-use sys::*;
+/// `struct io_cqring_offsets`.
+#[repr(C)]
+#[derive(Debug, Default, Clone, Copy)]
+struct CqringOffsets {
+    head: u32,
+    tail: u32,
+    ring_mask: u32,
+    ring_entries: u32,
+    overflow: u32,
+    cqes: u32,
+    flags: u32,
+    resv1: u32,
+    user_addr: u64,
+}
+
+/// `struct io_uring_params`.
+#[repr(C)]
+#[derive(Debug, Default, Clone, Copy)]
+struct UringParams {
+    sq_entries: u32,
+    cq_entries: u32,
+    flags: u32,
+    sq_thread_cpu: u32,
+    sq_thread_idle: u32,
+    features: u32,
+    wq_fd: u32,
+    resv: [u32; 3],
+    sq_off: SqringOffsets,
+    cq_off: CqringOffsets,
+}
+
+/// `struct io_uring_sqe` (64-byte base form, unions collapsed).
+#[repr(C)]
+#[derive(Debug, Default, Clone, Copy)]
+struct Sqe {
+    opcode: u8,
+    flags: u8,
+    ioprio: u16,
+    fd: i32,
+    off: u64,
+    addr: u64,
+    len: u32,
+    op_flags: u32,
+    user_data: u64,
+    buf_group: u16,
+    personality: u16,
+    splice_fd_in: i32,
+    addr3: u64,
+    pad2: u64,
+}
+
+/// `struct io_uring_buf`: one provided-buffer descriptor in the ring.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+struct BufDesc {
+    addr: u64,
+    len: u32,
+    bid: u16,
+    resv: u16,
+}
+
+/// `struct io_uring_buf_reg`: argument of `IORING_REGISTER_PBUF_RING`.
+#[repr(C)]
+#[derive(Debug, Default, Clone, Copy)]
+struct BufReg {
+    ring_addr: u64,
+    ring_entries: u32,
+    bgid: u16,
+    flags: u16,
+    resv: [u64; 3],
+}
+
+const _: () = {
+    use std::mem::{offset_of, size_of};
+    assert!(size_of::<UringParams>() == 120 && size_of::<Sqe>() == 64);
+    assert!(size_of::<BufDesc>() == 16 && size_of::<BufReg>() == 40);
+    assert!(offset_of!(UringParams, features) == 20);
+    assert!(offset_of!(UringParams, sq_off) == 40 && offset_of!(UringParams, cq_off) == 80);
+    assert!(offset_of!(SqringOffsets, array) == 24 && offset_of!(CqringOffsets, cqes) == 20);
+    assert!(offset_of!(Sqe, user_data) == 32 && offset_of!(Sqe, buf_group) == 40);
+};
+
+extern "C" {
+    fn syscall(num: c_long, ...) -> c_long;
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        off: i64,
+    ) -> *mut c_void;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    fn close(fd: c_int) -> c_int;
+}
+
+// ── Geometry: what a datapath with the default sizes would ask for ──────
+
+const MTU: usize = 1040;
+/// Provided RX buffers, one per buffer-ring entry.
+const RX_BUFS: u32 = 1024;
+const TX_DEPTH: u32 = 256;
+const SQ_ENTRIES: u32 = (TX_DEPTH + 8).next_power_of_two();
+const CQ_ENTRIES: u32 = ((RX_BUFS + TX_DEPTH) * 2).next_power_of_two();
+/// One RX buffer: the kernel's 16-byte `io_uring_recvmsg_out` header,
+/// then the payload and one byte that detects an oversized datagram.
+const RX_BUF_LEN: usize = 16 + MTU + 1;
+/// `user_data` tags of the probe's two SQEs.
+const UD_RX: u64 = 1;
+const UD_CANCEL: u64 = 2;
 
 fn last_errno() -> i32 {
     std::io::Error::last_os_error().raw_os_error().unwrap_or(-1)
 }
 
-// ── RAII guards for probe-time resources ────────────────────────────────
-//
-// Every rung of the construction probe acquires its resource behind one
-// of these guards, so an early `return Err(Unavailable)` unwinds with no
-// leaked fd or mapping (asserted by `probe_failure_leaks_nothing`).
+fn unavailable(stage: &'static str, errno: i32) -> UringError {
+    UringError::Unavailable { stage, errno }
+}
 
-/// Owned io_uring fd; closed on drop.
-struct RingFd(i32);
+// Test builds keep a per-thread ledger of the fds and mappings the probe
+// acquired and still holds, so the leak tests see the probe's own
+// resources and nothing a concurrently running test opens.
+#[cfg(test)]
+thread_local! {
+    static LEDGER: std::cell::Cell<(u32, i32)> = const { std::cell::Cell::new((0, 0)) };
+}
 
-impl Drop for RingFd {
+/// Count one acquisition (`+1`) or one successful release (`-1`).
+fn note(delta: i32) {
+    #[cfg(test)]
+    LEDGER.with(|l| {
+        let (acquired, held) = l.get();
+        l.set((acquired + u32::from(delta > 0), held + delta));
+    });
+    #[cfg(not(test))]
+    let _ = delta;
+}
+
+/// An owned fd; closed on drop (an RAII guard, like [`Mapping`]).
+struct Fd(i32);
+
+impl Fd {
+    fn own(fd: i32) -> Self {
+        note(1);
+        Self(fd)
+    }
+}
+
+impl Drop for Fd {
     fn drop(&mut self) {
-        // SAFETY: `self.0` is an fd this guard owns exclusively (returned
-        // by io_uring_setup and never duplicated); closing it once here
-        // is the fd's only close.
-        // COVERS: probe_failure_leaks_nothing, uring loopback tests
-        unsafe { close(self.0) };
+        // SAFETY: `self.0` is an fd this guard owns exclusively (the
+        // socket's, released by `into_raw_fd`, or io_uring_setup's), never
+        // duplicated; closing it once here is its only close.
+        // COVERS: probe_failure_leaks_nothing, full_construction_does_not_leak_on_drop
+        if unsafe { close(self.0) } == 0 {
+            note(-1);
+        }
     }
 }
 
@@ -354,46 +264,47 @@ struct Mapping {
 }
 
 impl Mapping {
-    /// Map `len` bytes of the ring fd at `offset`.
-    fn ring(fd: i32, len: usize, offset: i64) -> Option<Self> {
-        // SAFETY: plain mmap of an io_uring fd region; a MAP_FAILED
-        // result is checked below and never dereferenced.
-        // COVERS: probe_failure_leaks_nothing, uring loopback tests
-        let p = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ | PROT_WRITE,
-                MAP_SHARED | MAP_POPULATE,
-                fd,
-                offset,
-            )
+    /// Map `len` bytes of the ring `fd` at `offset`, or anonymous zeroed
+    /// pages (page-aligned, as a buffer ring requires) when `fd` is -1.
+    fn new(len: usize, fd: i32, offset: i64) -> Option<Self> {
+        let flags = if fd < 0 {
+            MAP_PRIVATE | MAP_ANONYMOUS
+        } else {
+            MAP_SHARED | MAP_POPULATE
         };
-        (p as isize != -1).then_some(Self {
-            ptr: p as *mut u8,
-            len,
-        })
+        let (any, prot) = (std::ptr::null_mut(), PROT_READ | PROT_WRITE);
+        // SAFETY: a fresh mapping at any address the kernel chooses; no
+        // existing memory is touched, and MAP_FAILED is checked below and
+        // never dereferenced.
+        // COVERS: probe_failure_leaks_nothing, full_construction_does_not_leak_on_drop
+        let p = unsafe { mmap(any, len, prot, flags, fd, offset) };
+        if p as isize == -1 {
+            return None;
+        }
+        note(1);
+        Some(Self { ptr: p.cast(), len })
     }
 
-    /// Map anonymous zeroed pages (page-aligned, as PBUF_RING requires).
-    fn anon(len: usize) -> Option<Self> {
-        // SAFETY: anonymous private mapping, fd -1 as the ABI requires;
-        // MAP_FAILED checked below.
-        // COVERS: probe_failure_leaks_nothing, uring loopback tests
-        let p = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS,
-                -1,
-                0,
-            )
-        };
-        (p as isize != -1).then_some(Self {
-            ptr: p as *mut u8,
-            len,
-        })
+    /// The kernel-shared `u32` ring word at byte `off`.
+    fn u32_at(&self, off: u32) -> &AtomicU32 {
+        let off = off as usize;
+        assert!(off.is_multiple_of(4) && off + 4 <= self.len);
+        // SAFETY: in bounds and 4-aligned (the mapping is page-aligned),
+        // alive as long as `&self`; `AtomicU32` is valid for every bit
+        // pattern, and the kernel's side of a ring word is atomic too.
+        // COVERS: full_construction_does_not_leak_on_drop
+        unsafe { &*(self.ptr.wrapping_add(off) as *const AtomicU32) }
+    }
+
+    /// Write `v` at byte `off`: an SQE or buffer-ring entry the kernel
+    /// does not read until it is published.
+    fn write<T: Copy>(&self, off: usize, v: T) {
+        assert!(off + std::mem::size_of::<T>() <= self.len);
+        // SAFETY: in bounds (checked above) of memory this guard owns;
+        // unaligned write of plain bytes, into a slot the kernel does not
+        // read until it is published.
+        // COVERS: full_construction_does_not_leak_on_drop
+        unsafe { (self.ptr.wrapping_add(off) as *mut T).write_unaligned(v) }
     }
 }
 
@@ -401,810 +312,192 @@ impl Drop for Mapping {
     fn drop(&mut self) {
         // SAFETY: `ptr`/`len` are exactly what mmap returned for this
         // guard; unmapped once, here.
-        // COVERS: probe_failure_leaks_nothing, uring loopback tests
-        unsafe { munmap(self.ptr as *mut _, self.len) };
+        // COVERS: probe_failure_leaks_nothing, full_construction_does_not_leak_on_drop
+        if unsafe { munmap(self.ptr as *mut _, self.len) } == 0 {
+            note(-1);
+        }
     }
 }
 
-/// The mmap'd rings plus cached raw pointers into them.
-///
-/// Field order is load-bearing for teardown: `_sq_cq` and `_sqes` (the
-/// fd-backed mappings) drop before `fd`, which is fine — the kernel holds
-/// its own reference to the ring pages — and `fd` closing releases the
-/// ring itself.
-struct Rings {
-    _sq_cq: Mapping,
-    _sqes: Mapping,
-    fd: RingFd,
-    sq_head: *const AtomicU32,
-    sq_tail: *const AtomicU32,
-    sq_mask: u32,
-    sq_entries: u32,
-    sq_flags: *const AtomicU32,
-    sqes: *mut Sqe,
-    cq_head: *const AtomicU32,
-    cq_tail: *const AtomicU32,
-    cq_mask: u32,
-    cqes: *const Cqe,
-    sqpoll: bool,
-    /// SQEs written but not yet published to the kernel.
-    pending: u32,
-    /// Next SQE slot (monotonic; masked on use).
-    sqe_tail: u32,
-    /// One wakeup kick already sent for the current SQ-thread park
-    /// episode (see [`Rings::kick_if_parked`]).
-    kicked: bool,
+/// `io_uring_enter` (submit SQEs, wait for CQEs), retrying EINTR.
+fn enter(fd: i32, submit: u32, wait: u32, flags: u32) -> i64 {
+    let sig = std::ptr::null_mut::<c_void>();
+    loop {
+        // SAFETY: `fd` is a live ring; no pointer arguments are passed
+        // (sig = null); submitted SQEs were fully written before the
+        // Release tail store that published them.
+        // COVERS: full_construction_does_not_leak_on_drop
+        let r = unsafe { syscall(SYS_IO_URING_ENTER, fd, submit, wait, flags, sig, 0usize) };
+        if r >= 0 || last_errno() != EINTR {
+            return r;
+        }
+    }
 }
 
-// SAFETY: `Rings` owns its mappings and fd outright; the raw pointers
-// all point into those owned mappings, whose addresses are stable for
-// the life of the struct (mmap regions do not move), so sending the
-// whole bundle to another thread transports no thread-affine state.
-// The owning transport is used from one thread at a time (`&mut self`).
-// COVERS: uring loopback tests (non-Miri; FFI)
-unsafe impl Send for Rings {}
+/// `io_uring_register` with one `BufReg` argument. Returns the raw result.
+fn register(fd: i32, op: u32, reg: &BufReg) -> i64 {
+    // SAFETY: (UN)REGISTER_PBUF_RING reads one live `BufReg` (layout
+    // pinned); nr_args is 1 per the ABI. The ring it registers is a
+    // page-aligned mapping of `ring_entries * 16` bytes that outlives the
+    // registration.
+    // COVERS: probe_failure_leaks_nothing, full_construction_does_not_leak_on_drop
+    unsafe { syscall(SYS_IO_URING_REGISTER, fd, op, reg as *const BufReg, 1u32) }
+}
 
-impl Rings {
-    /// One SQE slot, or `None` if the queue is full (caller must flush).
-    #[inline]
-    fn try_get_sqe(&mut self) -> Option<*mut Sqe> {
-        // SAFETY: `sq_head` points at the kernel-shared head counter
-        // inside the live sq_cq mapping; atomic load only.
-        let head = unsafe { (*self.sq_head).load(Ordering::Acquire) };
-        if self.sqe_tail.wrapping_sub(head) >= self.sq_entries {
+/// The SQ and CQ of a mapped ring, as the probe drives them: SQE `n` goes
+/// in slot `n`, completions are read in order.
+struct Ring<'a> {
+    fd: i32,
+    rings: &'a Mapping,
+    sqes: &'a Mapping,
+    p: &'a UringParams,
+    submitted: u32,
+    cq_head: u32,
+}
+
+impl Ring<'_> {
+    /// Publish one SQE and submit it. True if the kernel took it.
+    fn submit(&mut self, sqe: Sqe) -> bool {
+        let slot = self.submitted & (self.p.sq_entries - 1);
+        self.sqes.write(slot as usize * 64, sqe);
+        let array = self.rings.u32_at(self.p.sq_off.array + 4 * slot);
+        array.store(slot, Ordering::Relaxed);
+        self.submitted += 1;
+        let tail = self.rings.u32_at(self.p.sq_off.tail);
+        tail.store(self.submitted, Ordering::Release);
+        enter(self.fd, 1, 0, 0) == 1
+    }
+
+    /// The next completion's `(user_data, res, flags)` (`struct
+    /// io_uring_cqe`, 16 bytes), read word by word.
+    fn next_cqe(&mut self) -> Option<(u64, i32, u32)> {
+        let tail = self.rings.u32_at(self.p.cq_off.tail);
+        if tail.load(Ordering::Acquire) == self.cq_head {
             return None;
         }
-        let idx = (self.sqe_tail & self.sq_mask) as usize;
-        self.sqe_tail = self.sqe_tail.wrapping_add(1);
-        self.pending += 1;
-        // SAFETY: `idx < sq_entries`, and the SQE array mapping covers
-        // `sq_entries` slots; the slot is unowned by the kernel until the
-        // tail store in `flush` publishes it.
-        Some(unsafe { self.sqes.add(idx) })
-    }
-
-    /// Publish written SQEs and, unless SQPOLL has the kernel polling,
-    /// submit them with one `io_uring_enter`. Returns syscalls made.
-    fn flush(&mut self, stats: &mut TransportStats) -> u32 {
-        if self.pending == 0 {
-            return 0;
-        }
-        let n = self.pending;
-        self.pending = 0;
-        // SAFETY: `sq_tail` points at the kernel-shared tail counter;
-        // the release store publishes the SQE writes above it.
-        unsafe { (*self.sq_tail).store(self.sqe_tail, Ordering::Release) };
-        stats.sqe_submitted += n as u64;
-        if self.sqpoll {
-            // Full fence: the NEED_WAKEUP load must not be reordered
-            // before the tail store (store→load reordering is legal
-            // under acquire/release). The kernel's SQ thread sets
-            // NEED_WAKEUP and then re-checks the tail under its own full
-            // barrier; without this fence both sides can read stale
-            // state and the SQE sleeps until the next submission — a
-            // missed-wakeup stall measured in RTOs.
-            std::sync::atomic::fence(Ordering::SeqCst);
-            // SAFETY: atomic load of the kernel-shared SQ flags word.
-            let flags = unsafe { (*self.sq_flags).load(Ordering::Acquire) };
-            if flags & IORING_SQ_NEED_WAKEUP != 0 {
-                self.enter(0, 0, IORING_ENTER_SQ_WAKEUP, stats);
-                return 1;
-            }
-            return 0; // steady state: tail store only, zero syscalls
-        }
-        self.enter(n, 0, 0, stats);
-        1
-    }
-
-    /// `io_uring_enter`, retrying EINTR and flushing CQ-overflow
-    /// backpressure (EBUSY/EAGAIN) with a GETEVENTS pass.
-    fn enter(&self, to_submit: u32, min_complete: u32, flags: u32, stats: &mut TransportStats) {
-        let mut flags = flags;
-        loop {
-            stats.ring_enters += 1;
-            // SAFETY: `fd` is the live ring; no pointer arguments are
-            // passed (sig = null); the SQEs in [head, tail) were fully
-            // written before the Release tail store that published them.
-            let r = unsafe {
-                syscall(
-                    SYS_IO_URING_ENTER,
-                    self.fd.0,
-                    to_submit,
-                    min_complete,
-                    flags,
-                    std::ptr::null_mut::<std::os::raw::c_void>(),
-                    0usize,
-                )
-            };
-            if r >= 0 {
-                return;
-            }
-            match last_errno() {
-                EINTR => continue,
-                // CQ overflow backpressure: ask the kernel to flush
-                // completions, then stop (callers re-submit next pass).
-                EBUSY | EAGAIN => {
-                    if flags & IORING_ENTER_GETEVENTS == 0 {
-                        flags |= IORING_ENTER_GETEVENTS;
-                        continue;
-                    }
-                    return;
-                }
-                _ => return,
-            }
-        }
-    }
-
-    /// SQPOLL liveness valve: RX completions are posted by the kernel's
-    /// SQ thread (poll task work runs in its context), so once it parks
-    /// after `sq_thread_idle`, arriving datagrams wait on generic
-    /// scheduler wakeups — milliseconds on a contended host. When the CQ
-    /// is empty and the flags word says the thread is parked, pay one
-    /// `io_uring_enter` to unpark it — edge-triggered (once per park
-    /// episode), so a busy thread costs nothing and a parked ring costs
-    /// one syscall per stall instead of one RTO.
-    #[inline]
-    fn kick_if_parked(&mut self, stats: &mut TransportStats) {
-        if !self.sqpoll {
-            return;
-        }
-        // SAFETY: atomic load of the kernel-shared SQ flags word.
-        let parked =
-            unsafe { (*self.sq_flags).load(Ordering::Acquire) } & IORING_SQ_NEED_WAKEUP != 0;
-        if parked && !self.kicked {
-            self.kicked = true;
-            self.enter(0, 0, IORING_ENTER_SQ_WAKEUP, stats);
-        } else if !parked {
-            self.kicked = false;
-        }
-    }
-
-    /// Pop the next completion, if any (pure shared-memory read).
-    #[inline]
-    fn peek_cqe(&self) -> Option<Cqe> {
-        // SAFETY: cq_head points at the kernel-shared CQ head counter in
-        // the live mapping; only this thread writes it, so Relaxed reads
-        // our own last store.
-        let head = unsafe { (*self.cq_head).load(Ordering::Relaxed) };
-        // SAFETY: cq_tail points at the kernel-shared CQ tail in the same
-        // mapping; the Acquire load synchronizes with the kernel's
-        // Release publish of the CQE payload.
-        let tail = unsafe { (*self.cq_tail).load(Ordering::Acquire) };
-        if head == tail {
-            return None;
-        }
-        let idx = (head & self.cq_mask) as usize;
-        // SAFETY: `idx` is within the CQE array (masked), and the entry
-        // was published by the tail Acquire above.
-        let cqe = unsafe { *self.cqes.add(idx) };
-        // SAFETY: head store hands the slot back to the kernel; Release
-        // so the kernel's next use of the slot happens-after our read.
-        unsafe { (*self.cq_head).store(head.wrapping_add(1), Ordering::Release) };
+        let at = self.p.cq_off.cqes + (self.cq_head & (self.p.cq_entries - 1)) * 16;
+        let word = |i: u32| self.rings.u32_at(at + 4 * i).load(Ordering::Relaxed);
+        let (lo, hi) = (word(0) as u64, word(1) as u64);
+        let cqe = (lo | hi << 32, word(2) as i32, word(3));
+        self.cq_head = self.cq_head.wrapping_add(1);
+        let head = self.rings.u32_at(self.p.cq_off.head);
+        head.store(self.cq_head, Ordering::Release);
         Some(cqe)
     }
-}
 
-/// The registered provided-buffer ring (anonymous pages) plus our local
-/// tail shadow.
-struct BufRing {
-    mem: Mapping,
-    mask: u32,
-    /// Local shadow of the ring tail (kernel only reads the shared one).
-    tail: u16,
-}
-
-impl BufRing {
-    /// Append buffer `bid` (at `addr`, `len` bytes) to the ring; visible
-    /// to the kernel after [`BufRing::publish`].
-    #[inline]
-    fn provide(&mut self, bid: u16, addr: *const u8, len: u32) {
-        let idx = (self.tail as u32 & self.mask) as usize;
-        // SAFETY: `idx` is masked into the `entries`-slot descriptor
-        // array inside our owned mapping; the kernel does not read the
-        // slot until the tail publish below.
-        unsafe {
-            (self.mem.ptr as *mut BufDesc).add(idx).write(BufDesc {
-                addr: addr as u64,
-                len,
-                bid,
-                resv: 0,
-            });
+    /// Cancel the armed multishot receive and wait for its last
+    /// completion, after which the kernel writes no RX buffer. False if
+    /// it did not come within the bound.
+    fn cancel_rx(&mut self) -> bool {
+        self.submit(Sqe {
+            opcode: IORING_OP_ASYNC_CANCEL,
+            fd: -1,
+            addr: UD_RX,
+            user_data: UD_CANCEL,
+            ..Sqe::default()
+        });
+        let deadline = Instant::now() + Duration::from_millis(500);
+        loop {
+            while let Some((user_data, _, flags)) = self.next_cqe() {
+                if user_data == UD_RX && flags & IORING_CQE_F_MORE == 0 {
+                    return true;
+                }
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            enter(self.fd, 0, 1, IORING_ENTER_GETEVENTS);
         }
-        self.tail = self.tail.wrapping_add(1);
-    }
-
-    /// Publish provided buffers to the kernel (release-store the tail —
-    /// shared memory only, no syscall).
-    #[inline]
-    fn publish(&mut self) {
-        // The tail lives in the resv field of buffer slot 0, per the
-        // io_uring_buf_ring layout (offset 14 = the struct's `tail`).
-        let tail_ptr = (self.mem.ptr as usize + 14) as *const std::sync::atomic::AtomicU16;
-        // SAFETY: offset 14 of the ring mapping is the kernel-shared
-        // tail (io_uring_buf_ring.tail); atomic release store publishes
-        // the descriptor writes above.
-        unsafe { (*tail_ptr).store(self.tail, Ordering::Release) };
     }
 }
-
-/// One in-flight TX descriptor. The kernel reads `msg` → (`addr`, `iov`)
-/// → `buf` *asynchronously* after submission (unlike the `sendmmsg` path,
-/// where pointers die with the call), so every pointed-to field is boxed:
-/// heap addresses survive moves of the transport itself and of the
-/// surrounding `Vec`.
-struct TxSlot {
-    buf: Box<[u8]>,
-    raddr: Box<RawAddr>,
-    iov: Box<IoVec>,
-    msg: Box<MsgHdr>,
-}
-
-const UD_TX_TAG: u64 = 1 << 63;
-const UD_RX: u64 = 1;
-const UD_CANCEL: u64 = 2;
-
-/// A [`Transport`] over a UDP socket driven through io_uring. See the
-/// module docs for the datapath shape and [`UringError`] for fallback.
-pub struct IoUringTransport {
-    addr: Addr,
-    socket: UdpSocket,
-    sock_fd: i32,
-    routes: HashMap<u32, SocketAddr>,
-    cfg: UringConfig,
-    clock: MonoClock,
-    rings: Rings,
-    buf_ring: BufRing,
-    /// Provided RX buffers, indexed by buffer id. Layout per buffer:
-    /// 16-byte `RecvmsgOut` header, then up to `mtu + 1` payload bytes
-    /// (the +1 detects exactly-oversized datagrams, like the UDP path).
-    rx_bufs: Vec<Box<[u8]>>,
-    /// Payload length per buffer id for surfaced tokens.
-    rx_lens: Vec<u32>,
-    /// Buffer ids surfaced as tokens since the last `rx_release`.
-    claimed_bids: Vec<u16>,
-    /// Persistent zeroed msghdr for the multishot recvmsg SQE.
-    rx_msg: Box<MsgHdr>,
-    /// The multishot recvmsg is armed (a CQE without F_MORE clears it).
-    rx_armed: bool,
-    tx_slots: Vec<TxSlot>,
-    tx_free: Vec<u16>,
-    tx_inflight: u32,
-    rng: SmallRng,
-    stats: TransportStats,
-}
-
-// SAFETY: all raw pointers live in `Rings` (see its Send impl) or in
-// `TxSlot`/`rx_msg` boxes whose heap addresses are stable across moves;
-// the kernel-side aliasing is sequenced by SQE submission (pointers are
-// only rebuilt while the slot is free, i.e. not owned by the kernel).
-// The transport is single-threaded by `&mut self`.
-// COVERS: uring loopback tests (non-Miri; FFI)
-unsafe impl Send for IoUringTransport {}
-
-/// RX buffer layout: bytes reserved ahead of the payload for the
-/// kernel's `RecvmsgOut` header.
-const RX_HDR: usize = std::mem::size_of::<RecvmsgOut>();
 
 impl IoUringTransport {
-    /// Probe-only construction check: `Ok(())` iff a transport can be
-    /// built on this kernel (used by tests and benches to skip cleanly).
+    /// `Ok(())` iff this kernel grants every rung an io_uring UDP datapath
+    /// would need (see the module docs); otherwise the first rung that
+    /// failed. Leaves no fd, mapping or armed request behind.
     pub fn probe() -> Result<(), UringError> {
-        let t = Self::bind(
-            Addr::new(0, 0),
-            "127.0.0.1:0".parse().map_err(|_| UringError::Unavailable {
-                stage: "addr-parse",
-                errno: -1,
-            })?,
-            UringConfig::default(),
-        )?;
-        drop(t);
-        Ok(())
-    }
-
-    /// Bind `addr` to the given local socket address, self-allocating the
-    /// RX buffers. Returns [`UringError::Unavailable`] (with every probe
-    /// resource released) when the kernel cannot run this backend.
-    pub fn bind(addr: Addr, local: SocketAddr, cfg: UringConfig) -> Result<Self, UringError> {
-        let n = cfg.ring_capacity.next_power_of_two();
-        let sz = RX_HDR + cfg.mtu.max(64) + 1;
-        let bufs = (0..n).map(|_| vec![0u8; sz].into_boxed_slice()).collect();
-        Self::bind_with_buffers(addr, local, cfg, bufs)
-    }
-
-    /// Bind with caller-donated RX buffers (e.g. drawn from the core
-    /// crate's `BufPool`), so completions land in pooled memory. Each
-    /// buffer must hold at least `16 + mtu + 1` bytes (`RecvmsgOut`
-    /// header + payload + oversize canary); the buffer count is rounded
-    /// *down* to a power of two (excess buffers are returned untouched by
-    /// [`IoUringTransport::reclaim_rx_buffers`]).
-    pub fn bind_with_buffers(
-        addr: Addr,
-        local: SocketAddr,
-        cfg: UringConfig,
-        rx_bufs: Vec<Box<[u8]>>,
-    ) -> Result<Self, UringError> {
-        Self::bind_inner(addr, local, cfg, rx_bufs, 0)
-    }
-
-    /// Construction ladder. `fail_at` forces an artificial failure after
-    /// probe rung N (tests drive the cleanup paths with it; 0 = never).
-    fn bind_inner(
-        addr: Addr,
-        local: SocketAddr,
-        cfg: UringConfig,
-        mut rx_bufs: Vec<Box<[u8]>>,
-        fail_at: u8,
-    ) -> Result<Self, UringError> {
-        let min_buf = RX_HDR + cfg.mtu.max(64) + 1;
-        if rx_bufs.is_empty() || rx_bufs.iter().any(|b| b.len() < min_buf) {
-            return Err(UringError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "rx buffers missing or smaller than 16 + mtu + 1",
-            )));
-        }
-        let entries = {
-            let n = rx_bufs.len();
-            let pow2 = if n.is_power_of_two() {
-                n
-            } else {
-                n.next_power_of_two() / 2
-            };
-            rx_bufs.truncate(pow2);
-            pow2 as u32
-        };
-        let socket = UdpSocket::bind(local).map_err(UringError::Io)?;
-        socket.set_nonblocking(true).map_err(UringError::Io)?;
-        let sock_fd = {
-            use std::os::fd::AsRawFd;
-            socket.as_raw_fd()
-        };
-
-        let unavailable = |stage: &'static str| UringError::Unavailable {
-            stage,
-            errno: last_errno(),
-        };
-        let forced = |stage: &'static str| UringError::Unavailable { stage, errno: 0 };
-
-        // Rung 1: io_uring_setup. ENOSYS = compiled out, EPERM/EACCES =
-        // seccomp-denied (common in CI containers), EINVAL = flags or
-        // sizes this kernel cannot do.
-        let tx_depth = cfg.tx_depth.next_power_of_two().max(8) as u32;
-        let sq_entries = (tx_depth + 8).next_power_of_two();
-        let cq_entries = ((entries + tx_depth) * 2).next_power_of_two();
-        let mut params = UringParams {
-            flags: IORING_SETUP_CLAMP
-                | IORING_SETUP_CQSIZE
-                | if cfg.sqpoll { IORING_SETUP_SQPOLL } else { 0 },
-            cq_entries,
-            sq_thread_idle: cfg.sqpoll_idle_ms,
-            ..UringParams::default()
-        };
-        // SAFETY: io_uring_setup reads/writes `params` (a live, properly
-        // laid out UringParams — size pinned at compile time) and
-        // nothing else.
-        // COVERS: probe_failure_leaks_nothing, uring loopback tests
-        let r = unsafe { syscall(SYS_IO_URING_SETUP, sq_entries, &mut params as *mut _) };
-        if r < 0 {
-            return Err(unavailable("io_uring_setup"));
-        }
-        let fd = RingFd(r as i32);
-        if fail_at == 1 {
-            return Err(forced("forced-after-setup"));
-        }
-
-        // Rung 2: feature floor. Single-mmap appeared in 5.4; multishot
-        // recvmsg (probed below) needs 6.0 anyway, so requiring it costs
-        // no kernel this backend could otherwise run on.
-        if params.features & IORING_FEAT_SINGLE_MMAP == 0 {
-            return Err(UringError::Unavailable {
-                stage: "feat-single-mmap",
-                errno: 0,
-            });
-        }
-
-        // Rung 3: map the rings.
-        let sq_len = (params.sq_off.array as usize) + params.sq_entries as usize * 4;
-        let cq_len = (params.cq_off.cqes as usize) + params.cq_entries as usize * 16;
-        let ring_len = sq_len.max(cq_len);
-        let sq_cq = Mapping::ring(fd.0, ring_len, IORING_OFF_SQ_RING)
-            .ok_or_else(|| unavailable("mmap-rings"))?;
-        let sqes_map = Mapping::ring(fd.0, params.sq_entries as usize * 64, IORING_OFF_SQES)
-            .ok_or_else(|| unavailable("mmap-sqes"))?;
-        if fail_at == 2 {
-            return Err(forced("forced-after-mmap"));
-        }
-        let base = sq_cq.ptr as usize;
-        // Identity-map the SQ index array once: slot i always submits
-        // SQE i, so submission never touches the array again.
-        let sq_array = (base + params.sq_off.array as usize) as *mut u32;
-        for i in 0..params.sq_entries {
-            // SAFETY: the array has `sq_entries` u32 slots inside the
-            // ring mapping; init-time write before any submission.
-            unsafe { sq_array.add(i as usize).write(i) };
-        }
-        let rings = Rings {
-            sq_head: (base + params.sq_off.head as usize) as *const AtomicU32,
-            sq_tail: (base + params.sq_off.tail as usize) as *const AtomicU32,
-            // SAFETY: reading the constant ring geometry words the kernel
-            // wrote at setup, inside the live mapping.
-            sq_mask: unsafe { *((base + params.sq_off.ring_mask as usize) as *const u32) },
-            sq_entries: params.sq_entries,
-            sq_flags: (base + params.sq_off.flags as usize) as *const AtomicU32,
-            sqes: sqes_map.ptr as *mut Sqe,
-            cq_head: (base + params.cq_off.head as usize) as *const AtomicU32,
-            cq_tail: (base + params.cq_off.tail as usize) as *const AtomicU32,
-            // SAFETY: as above — constant geometry word in the mapping.
-            cq_mask: unsafe { *((base + params.cq_off.ring_mask as usize) as *const u32) },
-            cqes: (base + params.cq_off.cqes as usize) as *const Cqe,
-            sqpoll: cfg.sqpoll,
-            pending: 0,
-            sqe_tail: 0,
-            kicked: false,
-            _sq_cq: sq_cq,
-            _sqes: sqes_map,
-            fd,
-        };
-
-        // Rung 4: register the provided-buffer ring (kernel 5.19+).
-        let br_mem = Mapping::anon((entries as usize * 16).max(4096))
-            .ok_or_else(|| unavailable("mmap-buf-ring"))?;
-        let reg = BufReg {
-            ring_addr: br_mem.ptr as u64,
-            ring_entries: entries,
-            bgid: 0,
-            ..BufReg::default()
-        };
-        // SAFETY: PBUF_RING registration reads one live BufReg (layout
-        // pinned) describing our page-aligned anonymous mapping of at
-        // least `entries * 16` bytes; nr_args is 1 per the ABI.
-        // COVERS: probe_failure_leaks_nothing, uring loopback tests
-        let r = unsafe {
-            syscall(
-                SYS_IO_URING_REGISTER,
-                rings.fd.0,
-                IORING_REGISTER_PBUF_RING,
-                &reg as *const _,
-                1u32,
-            )
-        };
-        if r < 0 {
-            return Err(unavailable("register-pbuf-ring"));
-        }
-        if fail_at == 3 {
-            return Err(forced("forced-after-register"));
-        }
-        let mut buf_ring = BufRing {
-            mem: br_mem,
-            mask: entries - 1,
-            tail: 0,
-        };
-
-        // Provide every RX buffer (payload region only; the kernel
-        // writes its RecvmsgOut header at the buffer start).
-        let payload_cap = (min_buf - RX_HDR) as u32;
-        for (bid, b) in rx_bufs.iter().enumerate() {
-            buf_ring.provide(bid as u16, b.as_ptr(), RX_HDR as u32 + payload_cap);
-        }
-        buf_ring.publish();
-
-        let tx_slots: Vec<TxSlot> = (0..tx_depth)
-            .map(|_| TxSlot {
-                buf: vec![0u8; cfg.mtu.max(64)].into_boxed_slice(),
-                raddr: Box::new(RawAddr {
-                    buf: [0; 28],
-                    len: 0,
-                }),
-                iov: Box::new(IoVec {
-                    base: std::ptr::null_mut(),
-                    len: 0,
-                }),
-                msg: Box::new(zero_msghdr()),
-            })
-            .collect();
-
-        let mut t = Self {
-            addr,
-            socket,
-            sock_fd,
-            routes: HashMap::new(),
-            clock: MonoClock::new(),
-            rings,
-            buf_ring,
-            rx_lens: vec![0; rx_bufs.len()],
-            rx_bufs,
-            claimed_bids: Vec::with_capacity(entries as usize),
-            rx_msg: Box::new(zero_msghdr()),
-            rx_armed: false,
-            tx_free: (0..tx_depth as u16).rev().collect(),
-            tx_slots,
-            tx_inflight: 0,
-            rng: SmallRng::seed_from_u64(cfg.seed ^ (addr.key() as u64) << 17),
-            cfg,
-            stats: TransportStats::default(),
-        };
-
-        // Rung 5: arm the multishot recvmsg and verify the kernel took
-        // it. Pre-6.0 kernels reject IORING_RECV_MULTISHOT with an
-        // immediate CQE carrying -EINVAL; on success no CQE appears (the
-        // request parks in poll). With SQPOLL, wait for the SQ thread to
-        // drain the SQE before judging.
-        t.arm_multishot();
-        t.rings.flush(&mut t.stats);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(200);
-        loop {
-            if let Some(cqe) = t.rings.peek_cqe() {
-                t.stats.cqe_harvested += 1;
-                if cqe.user_data == UD_RX && cqe.res < 0 {
-                    // Quiesce not needed: the request already completed.
-                    t.rx_armed = false;
-                    return Err(UringError::Unavailable {
-                        stage: "multishot-recvmsg",
-                        errno: -cqe.res,
-                    });
-                }
-            }
-            // SAFETY: atomic load of the kernel-shared SQ head.
-            let consumed =
-                unsafe { (*t.rings.sq_head).load(Ordering::Acquire) } == t.rings.sqe_tail;
-            if consumed || std::time::Instant::now() >= deadline {
-                if !consumed {
-                    return Err(UringError::Unavailable {
-                        stage: "sqpoll-submit-timeout",
-                        errno: 0,
-                    });
-                }
-                break;
-            }
-            std::thread::yield_now();
-        }
-        if fail_at == 4 {
-            return Err(forced("forced-after-arm"));
-        }
-        Ok(t)
-    }
-
-    /// The socket address this transport is bound to.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.socket.local_addr()
-    }
-
-    /// Install the socket address for a peer endpoint id.
-    pub fn add_route(&mut self, peer: Addr, at: SocketAddr) {
-        self.routes.insert(peer.key(), at);
-    }
-
-    /// Remove a peer route (sends then count as `tx_drop_no_route`).
-    pub fn remove_route(&mut self, peer: Addr) {
-        self.routes.remove(&peer.key());
-    }
-
-    /// Tear down the ring and hand the RX buffers back (for recycling
-    /// into the pool they came from). Quiesces in-flight kernel I/O
-    /// first, exactly like drop.
-    pub fn reclaim_rx_buffers(mut self) -> Vec<Box<[u8]>> {
-        self.quiesce();
-        std::mem::take(&mut self.rx_bufs)
-    }
-
-    /// Write the next SQE, flushing (one enter, counted) if the SQ is
-    /// full — which only happens when submission outruns the kernel by a
-    /// whole queue depth.
-    fn next_sqe(&mut self) -> *mut Sqe {
-        loop {
-            if let Some(s) = self.rings.try_get_sqe() {
-                return s;
-            }
-            self.rings.flush(&mut self.stats);
-            if self.rings.sqpoll {
-                // The SQ thread drains asynchronously; wait for space.
-                self.rings
-                    .enter(0, 0, IORING_ENTER_SQ_WAIT, &mut self.stats);
-            }
-        }
-    }
-
-    /// Arm (or re-arm) the multishot recvmsg into the provided-buffer
-    /// group. Steady state arms once; it only dies on ENOBUFS (RX ring
-    /// exhausted) or cancellation.
-    fn arm_multishot(&mut self) {
-        *self.rx_msg = zero_msghdr();
-        let msg_ptr: *mut MsgHdr = &mut *self.rx_msg;
-        let fd = self.sock_fd;
-        let sqe = self.next_sqe();
-        // SAFETY: `sqe` is an unpublished slot owned by us (try_get_sqe
-        // contract); `rx_msg` is boxed and lives as long as the
-        // transport, so the kernel's async reads of it stay in-bounds.
-        unsafe {
-            *sqe = Sqe {
-                opcode: IORING_OP_RECVMSG,
-                flags: IOSQE_BUFFER_SELECT,
-                ioprio: IORING_RECV_MULTISHOT,
-                fd,
-                addr: msg_ptr as u64,
-                len: 1,
-                user_data: UD_RX,
-                buf_group: 0,
-                ..Sqe::default()
-            };
-        }
-        self.rx_armed = true;
-    }
-
-    /// Harvest completions from the shared CQ (no syscall): recycle TX
-    /// slots, surface RX datagrams (up to `max_rx`; `usize::MAX` when
-    /// only TX recycling is wanted). Returns RX packets surfaced.
-    fn harvest(&mut self, max_rx: usize, out: Option<&mut Vec<RxToken>>) -> usize {
-        let mut out = out;
-        let mut got_rx = 0;
-        while got_rx < max_rx || max_rx == 0 {
-            let Some(cqe) = self.rings.peek_cqe() else {
-                break;
-            };
-            self.stats.cqe_harvested += 1;
-            if cqe.user_data & UD_TX_TAG != 0 {
-                self.on_tx_cqe(&cqe);
-                continue;
-            }
-            if cqe.user_data == UD_CANCEL {
-                continue;
-            }
-            // RX completion (multishot recvmsg).
-            if cqe.flags & IORING_CQE_F_MORE == 0 {
-                self.rx_armed = false;
-            }
-            if cqe.res < 0 {
-                // ENOBUFS: every provided buffer is in flight or
-                // awaiting release — rearm happens in rx_release once
-                // buffers return (the only recovery enter). ECANCELED
-                // is teardown. Anything else disarms too and rearms
-                // the same way.
-                continue;
-            }
-            if cqe.flags & IORING_CQE_F_BUFFER == 0 {
-                continue; // zero-byte completion without a buffer
-            }
-            let bid = (cqe.flags >> IORING_CQE_BUFFER_SHIFT) as u16;
-            let Some(surfaced) = self.on_rx_buffer(bid, cqe.res as u32) else {
-                continue;
-            };
-            if let Some(v) = out.as_deref_mut() {
-                v.push(surfaced);
-                got_rx += 1;
-            } else {
-                // Harvested with no token sink (TX-only harvest): the
-                // datagram is consumed but must not vanish — surface it
-                // next rx_burst via the claimed list? Simplest correct
-                // answer: hand the buffer straight back (drop). This
-                // path is never taken: TX-only harvests pass max_rx = 0
-                // and RX CQEs only appear once armed; kept as defense.
-                self.release_bid(bid);
-            }
-        }
-        got_rx
-    }
-
-    /// TX completion: recycle the slot, account the result.
-    fn on_tx_cqe(&mut self, cqe: &Cqe) {
-        let slot = (cqe.user_data & !UD_TX_TAG) as usize;
-        if slot < self.tx_slots.len() {
-            self.tx_free.push(slot as u16);
-            self.tx_inflight = self.tx_inflight.saturating_sub(1);
-        }
-        if cqe.res >= 0 {
-            self.stats.tx_pkts += 1;
-            self.stats.tx_bytes += cqe.res as u64;
-        } else if -cqe.res == EAGAIN {
-            self.stats.tx_drop_ring_full += 1;
-        } else {
-            self.stats.tx_drop_err += 1;
-        }
-    }
-
-    /// Parse one RX completion's buffer; `None` = dropped (truncated or
-    /// malformed), with the buffer released back to the ring.
-    fn on_rx_buffer(&mut self, bid: u16, res: u32) -> Option<RxToken> {
-        let idx = bid as usize;
-        if idx >= self.rx_bufs.len() || (res as usize) < RX_HDR {
-            return None;
-        }
-        let b = &self.rx_bufs[idx];
-        let hdr = RecvmsgOut {
-            namelen: u32::from_ne_bytes([b[0], b[1], b[2], b[3]]),
-            controllen: u32::from_ne_bytes([b[4], b[5], b[6], b[7]]),
-            payloadlen: u32::from_ne_bytes([b[8], b[9], b[10], b[11]]),
-            flags: u32::from_ne_bytes([b[12], b[13], b[14], b[15]]),
-        };
-        // Same oversize rule as the UDP path: payload capacity is mtu+1,
-        // so a >MTU datagram either trips MSG_TRUNC or lands at mtu+1.
-        let plen = hdr.payloadlen as usize;
-        if hdr.flags & MSG_TRUNC != 0 || plen > self.cfg.mtu || hdr.namelen != 0 {
-            self.stats.rx_drop_truncated += 1;
-            self.release_bid(bid);
-            return None;
-        }
-        self.rx_lens[idx] = plen as u32;
-        self.claimed_bids.push(bid);
-        self.stats.rx_pkts += 1;
-        self.stats.rx_bytes += plen as u64;
-        Some(RxToken::new(bid as u64, plen as u32))
-    }
-
-    /// Hand one buffer id back to the provided-buffer ring (not yet
-    /// published).
-    #[inline]
-    fn release_bid(&mut self, bid: u16) {
-        let cap = self.buf_ring_payload_cap();
-        let addr = self.rx_bufs[bid as usize].as_ptr();
-        self.buf_ring.provide(bid, addr, cap);
-    }
-
-    #[inline]
-    fn buf_ring_payload_cap(&self) -> u32 {
-        (RX_HDR + self.cfg.mtu.max(64) + 1) as u32
-    }
-
-    /// Cancel in-flight kernel I/O and wait it out, so dropping the
-    /// transport can release buffer memory the kernel might otherwise
-    /// still write into. Bounded; on timeout the RX buffers are leaked
-    /// rather than freed under the kernel's feet.
-    fn quiesce(&mut self) {
-        if self.rx_armed {
-            let sqe = self.next_sqe();
-            // SAFETY: unpublished slot owned by us; ASYNC_CANCEL carries
-            // no pointers (addr is the target's user_data value).
-            unsafe {
-                *sqe = Sqe {
-                    opcode: IORING_OP_ASYNC_CANCEL,
-                    fd: -1,
-                    addr: UD_RX,
-                    user_data: UD_CANCEL,
-                    ..Sqe::default()
-                };
-            }
-        }
-        self.rings.flush(&mut self.stats);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(500);
-        while self.rx_armed || self.tx_inflight > 0 {
-            self.harvest(usize::MAX, None);
-            if !self.rx_armed && self.tx_inflight == 0 {
-                break;
-            }
-            if std::time::Instant::now() >= deadline {
-                // Could not quiesce: leak the RX buffers (and TX slots)
-                // instead of risking a kernel write into freed memory.
-                for b in self.rx_bufs.drain(..) {
-                    std::mem::forget(b);
-                }
-                for s in self.tx_slots.drain(..) {
-                    std::mem::forget(s.buf);
-                    std::mem::forget(s.raddr);
-                    std::mem::forget(s.iov);
-                    std::mem::forget(s.msg);
-                }
-                break;
-            }
-            self.rings
-                .enter(0, 1, IORING_ENTER_GETEVENTS, &mut self.stats);
-        }
-        // Unregister the pbuf ring before its pages go away.
-        let reg = BufReg::default();
-        // SAFETY: fd is live; UNREGISTER_PBUF_RING reads one BufReg
-        // identifying group 0; failure is ignorable (fd close also
-        // releases the registration).
-        unsafe {
-            syscall(
-                SYS_IO_URING_REGISTER,
-                self.rings.fd.0,
-                IORING_UNREGISTER_PBUF_RING,
-                &reg as *const _,
-                1u32,
-            )
-        };
+        ladder(0)
     }
 }
 
-fn zero_msghdr() -> MsgHdr {
-    MsgHdr {
+/// The probe. `fail_at` forces a failure after rung N (tests drive the
+/// cleanup paths with it; 0 = never).
+fn ladder(fail_at: u8) -> Result<(), UringError> {
+    let failed = |stage| unavailable(stage, last_errno());
+    let forced = |stage| Err(unavailable(stage, 0));
+
+    let socket = UdpSocket::bind("127.0.0.1:0").map_err(UringError::Io)?;
+    socket.set_nonblocking(true).map_err(UringError::Io)?;
+    let sock = Fd::own(socket.into_raw_fd());
+
+    // Rung 1: io_uring_setup. ENOSYS = compiled out, EPERM/EACCES =
+    // seccomp-denied (common in CI containers), EINVAL = flags or sizes
+    // this kernel cannot do.
+    let mut p = UringParams {
+        flags: IORING_SETUP_CLAMP | IORING_SETUP_CQSIZE,
+        cq_entries: CQ_ENTRIES,
+        ..UringParams::default()
+    };
+    // SAFETY: io_uring_setup reads and writes `p` (a live UringParams,
+    // layout pinned at compile time) and nothing else.
+    // COVERS: probe_failure_leaks_nothing, full_construction_does_not_leak_on_drop
+    let r = unsafe { syscall(SYS_IO_URING_SETUP, SQ_ENTRIES, &mut p as *mut UringParams) };
+    if r < 0 {
+        return Err(failed("io_uring_setup"));
+    }
+    let ring_fd = Fd::own(r as i32);
+    if fail_at == 1 {
+        return forced("forced-after-setup");
+    }
+
+    // Rung 2: feature floor (single mmap, 5.4; rung 5 needs 6.0 anyway).
+    if p.features & IORING_FEAT_SINGLE_MMAP == 0 {
+        return Err(unavailable("feat-single-mmap", 0));
+    }
+
+    // Rung 3: map the rings (SQ and CQ share one mapping).
+    let sq_len = p.sq_off.array as usize + p.sq_entries as usize * 4;
+    let cq_len = p.cq_off.cqes as usize + p.cq_entries as usize * 16;
+    let rings = Mapping::new(sq_len.max(cq_len), ring_fd.0, IORING_OFF_SQ_RING)
+        .ok_or_else(|| failed("mmap-rings"))?;
+    let sqes = Mapping::new(p.sq_entries as usize * 64, ring_fd.0, IORING_OFF_SQES)
+        .ok_or_else(|| failed("mmap-sqes"))?;
+    if fail_at == 2 {
+        return forced("forced-after-mmap");
+    }
+
+    // Rung 4: register the provided-buffer ring (5.19+), filled first: the
+    // tail (bytes 14..16, entry 0's `resv`) past the last buffer. The
+    // kernel reads the ring only after the register syscall.
+    let buf_ring = Mapping::new((RX_BUFS as usize * 16).max(4096), -1, 0)
+        .ok_or_else(|| failed("mmap-buf-ring"))?;
+    let mut bufs = vec![0u8; RX_BUFS as usize * RX_BUF_LEN];
+    for bid in 0..RX_BUFS as usize {
+        let desc = BufDesc {
+            addr: bufs.as_mut_ptr().wrapping_add(bid * RX_BUF_LEN) as u64,
+            len: RX_BUF_LEN as u32,
+            bid: bid as u16,
+            resv: 0,
+        };
+        buf_ring.write(bid * 16, desc);
+    }
+    buf_ring.write(14, RX_BUFS as u16);
+    let reg = BufReg {
+        ring_addr: buf_ring.ptr as u64,
+        ring_entries: RX_BUFS,
+        ..BufReg::default()
+    };
+    if register(ring_fd.0, IORING_REGISTER_PBUF_RING, &reg) < 0 {
+        return Err(failed("register-pbuf-ring"));
+    }
+    if fail_at == 3 {
+        return forced("forced-after-register");
+    }
+
+    // Rung 5: arm the multishot recvmsg (the kernel copies `msg`). Pre-6.0
+    // kernels reject IORING_RECV_MULTISHOT with an immediate -EINVAL CQE;
+    // on success no CQE appears (the request parks in poll).
+    let msg = MsgHdr {
         name: std::ptr::null_mut(),
         namelen: 0,
         iov: std::ptr::null_mut(),
@@ -1212,534 +505,94 @@ fn zero_msghdr() -> MsgHdr {
         control: std::ptr::null_mut(),
         controllen: 0,
         flags: 0,
+    };
+    let mut ring = Ring {
+        fd: ring_fd.0,
+        rings: &rings,
+        sqes: &sqes,
+        p: &p,
+        submitted: 0,
+        cq_head: 0,
+    };
+    let taken = ring.submit(Sqe {
+        opcode: IORING_OP_RECVMSG,
+        flags: IOSQE_BUFFER_SELECT,
+        ioprio: IORING_RECV_MULTISHOT,
+        fd: sock.0,
+        addr: &msg as *const MsgHdr as u64,
+        len: 1,
+        user_data: UD_RX,
+        ..Sqe::default()
+    });
+    let armed = match ring.next_cqe() {
+        Some((UD_RX, res, _)) if res < 0 => Err(unavailable("multishot-recvmsg", -res)),
+        _ if !taken => Err(unavailable("sqpoll-submit-timeout", 0)),
+        _ => Ok(()),
+    };
+    if armed.is_ok() && !ring.cancel_rx() {
+        // The kernel may still write into the buffers: leak them rather
+        // than free them under its feet.
+        std::mem::forget(bufs);
     }
+    register(ring_fd.0, IORING_UNREGISTER_PBUF_RING, &BufReg::default());
+    armed?;
+    if fail_at == 4 {
+        return forced("forced-after-arm");
+    }
+    Ok(())
 }
 
-impl Drop for IoUringTransport {
-    fn drop(&mut self) {
-        self.quiesce();
-    }
-}
-
-impl Transport for IoUringTransport {
-    fn addr(&self) -> Addr {
-        self.addr
-    }
-
-    fn mtu(&self) -> usize {
-        self.cfg.mtu
-    }
-
-    #[inline]
-    fn now_ns(&self) -> u64 {
-        self.clock.now_ns()
-    }
-
-    fn tx_burst(&mut self, pkts: &[TxPacket<'_>]) {
-        for p in pkts {
-            debug_assert!(p.len() <= self.cfg.mtu, "packet exceeds MTU");
-            if self.cfg.loss_prob > 0.0 && self.rng.gen_bool(self.cfg.loss_prob) {
-                self.stats.tx_drop_fault += 1;
-                continue;
-            }
-            let Some(&dst) = self.routes.get(&p.dst.key()) else {
-                self.stats.tx_drop_no_route += 1;
-                continue;
-            };
-            // Claim a TX descriptor; recycle completed ones first if the
-            // free list ran dry, then drop like a full NIC ring.
-            if self.tx_free.is_empty() {
-                self.harvest(0, None);
-            }
-            let Some(slot) = self.tx_free.pop() else {
-                self.stats.tx_drop_ring_full += 1;
-                continue;
-            };
-            let si = slot as usize;
-            let len = p.len();
-            {
-                let s = &mut self.tx_slots[si];
-                s.buf[..p.hdr.len()].copy_from_slice(p.hdr);
-                s.buf[p.hdr.len()..len].copy_from_slice(p.data);
-                *s.raddr = RawAddr::from_sockaddr(&dst);
-                *s.iov = IoVec {
-                    base: s.buf.as_mut_ptr() as *mut _,
-                    len,
-                };
-                *s.msg = MsgHdr {
-                    name: s.raddr.buf.as_mut_ptr() as *mut _,
-                    namelen: s.raddr.len,
-                    iov: &mut *s.iov as *mut _,
-                    iovlen: 1,
-                    control: std::ptr::null_mut(),
-                    controllen: 0,
-                    flags: 0,
-                };
-            }
-            let msg_ptr: *const MsgHdr = &*self.tx_slots[si].msg;
-            let fd = self.sock_fd;
-            let sqe = self.next_sqe();
-            // SAFETY: unpublished SQE slot owned by us; `msg` (and the
-            // iov/addr/buf it points to) are boxed fields of a TX slot
-            // that stays untouched until its completion CQE returns it
-            // to the free list, so the kernel's async reads are always
-            // in-bounds of live, unaliased memory.
-            unsafe {
-                *sqe = Sqe {
-                    opcode: IORING_OP_SENDMSG,
-                    fd,
-                    addr: msg_ptr as u64,
-                    len: 1,
-                    op_flags: MSG_DONTWAIT,
-                    user_data: UD_TX_TAG | slot as u64,
-                    ..Sqe::default()
-                };
-            }
-            self.tx_inflight += 1;
-        }
-        // Doorbell: one enter for the whole batch — or none with SQPOLL.
-        self.rings.flush(&mut self.stats);
-    }
-
-    fn tx_flush(&mut self) {
-        // Rare-path barrier (§4.2.2): wait until every queued TX packet
-        // has been handed to the socket.
-        self.stats.tx_flushes += 1;
-        self.rings.flush(&mut self.stats);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(100);
-        while self.tx_inflight > 0 && std::time::Instant::now() < deadline {
-            self.harvest(0, None);
-            if self.tx_inflight > 0 {
-                self.rings
-                    .enter(0, 1, IORING_ENTER_GETEVENTS, &mut self.stats);
-            }
-        }
-    }
-
-    fn rx_burst(&mut self, max: usize, out: &mut Vec<RxToken>) -> usize {
-        let effective = max.min(self.cfg.rx_drain_cap);
-        let n = self.harvest(effective.max(1), Some(out));
-        if n == 0 {
-            // Empty CQ: if the SQPOLL thread parked, unpark it so RX
-            // task work keeps flowing (no-op without SQPOLL).
-            self.rings.kick_if_parked(&mut self.stats);
-        } else if n == effective && effective < max {
-            self.stats.rx_drain_capped += 1;
-        }
-        n
-    }
-
-    fn rx_bytes(&self, tok: &RxToken) -> &[u8] {
-        let idx = tok.slot() as usize;
-        &self.rx_bufs[idx][RX_HDR..RX_HDR + self.rx_lens[idx] as usize]
-    }
-
-    fn rx_release(&mut self) {
-        if self.claimed_bids.is_empty() && self.rx_armed {
-            return;
-        }
-        let cap = self.buf_ring_payload_cap();
-        for i in 0..self.claimed_bids.len() {
-            let bid = self.claimed_bids[i];
-            let addr = self.rx_bufs[bid as usize].as_ptr();
-            self.buf_ring.provide(bid, addr, cap);
-        }
-        self.claimed_bids.clear();
-        self.buf_ring.publish();
-        // The multishot died on ENOBUFS while every buffer was out;
-        // re-arm now that the ring has buffers again (one enter — the
-        // non-steady-state recovery path).
-        if !self.rx_armed {
-            self.arm_multishot();
-            self.rings.flush(&mut self.stats);
-        }
-    }
-
-    fn stats(&self) -> &TransportStats {
-        &self.stats
-    }
-
-    fn rx_ring_size(&self) -> usize {
-        self.rx_bufs.len()
-    }
-}
-
-impl crate::SocketTransport for IoUringTransport {
-    fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        IoUringTransport::local_addr(self)
-    }
-
-    fn add_route(&mut self, peer: Addr, at: SocketAddr) {
-        IoUringTransport::add_route(self, peer, at)
-    }
-}
-
-// Real sockets and io_uring FFI — Miri cannot interpret foreign calls,
-// so these tests are compiled out under it.
+// Real sockets and FFI, which Miri cannot run: compiled out under it.
 #[cfg(all(test, not(miri)))]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
-    fn available() -> bool {
-        match IoUringTransport::probe() {
-            Ok(()) => true,
-            Err(e) => {
-                println!("skipping: {e}");
-                false
-            }
-        }
-    }
-
-    fn pair_with(cfg: UringConfig) -> Option<(IoUringTransport, IoUringTransport)> {
-        let mut a = match IoUringTransport::bind(
-            Addr::new(0, 0),
-            "127.0.0.1:0".parse().unwrap(),
-            cfg.clone(),
-        ) {
-            Ok(t) => t,
-            Err(e) => {
-                println!("skipping: {e}");
-                return None;
-            }
-        };
-        let mut b =
-            IoUringTransport::bind(Addr::new(1, 0), "127.0.0.1:0".parse().unwrap(), cfg).ok()?;
-        let aa = a.local_addr().unwrap();
-        let ba = b.local_addr().unwrap();
-        a.add_route(Addr::new(1, 0), ba);
-        b.add_route(Addr::new(0, 0), aa);
-        Some((a, b))
-    }
-
-    #[test]
-    fn uring_pingpong() {
-        let Some((mut a, mut b)) = pair_with(UringConfig::default()) else {
-            return;
-        };
-        a.tx_burst(&[TxPacket {
-            dst: Addr::new(1, 0),
-            hdr: b"hdr!",
-            data: b"body",
-        }]);
-        let mut toks = Vec::new();
-        for _ in 0..100_000 {
-            if b.rx_burst(8, &mut toks) > 0 {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        assert_eq!(toks.len(), 1, "datagram not delivered on loopback");
-        assert_eq!(b.rx_bytes(&toks[0]), b"hdr!body");
-        b.rx_release();
-        // The whole exchange cost a bounded number of enters: one TX
-        // submit on a, zero RX syscalls on b (multishot + CQ harvest).
-        assert!(a.stats().ring_enters >= 1);
-        assert_eq!(b.stats().rx_syscalls, 0);
-    }
-
-    #[test]
-    fn uring_burst_one_enter() {
-        let Some((mut a, mut b)) = pair_with(UringConfig::default()) else {
-            return;
-        };
-        let bodies: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 16 + i as usize]).collect();
-        let pkts: Vec<TxPacket<'_>> = bodies
-            .iter()
-            .map(|body| TxPacket {
-                dst: Addr::new(1, 0),
-                hdr: b"hdr!",
-                data: body,
-            })
-            .collect();
-        let enters_before = a.stats().ring_enters;
-        a.tx_burst(&pkts);
-        assert_eq!(
-            a.stats().ring_enters,
-            enters_before + 1,
-            "a whole TX burst must cost one io_uring_enter"
-        );
-        assert_eq!(a.stats().sqe_submitted - 1, 8); // −1: the multishot arm
-        let mut toks = Vec::new();
-        for _ in 0..100_000 {
-            b.rx_burst(32, &mut toks);
-            if toks.len() == 8 {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        assert_eq!(toks.len(), 8, "whole burst must arrive");
-        let rx: Vec<Vec<u8>> = toks.iter().map(|t| b.rx_bytes(t).to_vec()).collect();
-        for (i, body) in bodies.iter().enumerate() {
-            let mut want = b"hdr!".to_vec();
-            want.extend_from_slice(body);
-            assert_eq!(rx[i], want, "packet {i}");
-        }
-        b.rx_release();
-        // RX side never made a receive syscall.
-        assert_eq!(b.stats().rx_syscalls, 0);
-        assert_eq!(b.stats().cqe_harvested, 8);
-    }
-
-    #[test]
-    fn uring_no_route_and_loss() {
-        let Some((mut a, _b)) = pair_with(UringConfig::default()) else {
-            return;
-        };
-        a.tx_burst(&[TxPacket {
-            dst: Addr::new(9, 9),
-            hdr: b"x",
-            data: &[],
-        }]);
-        assert_eq!(a.stats().tx_drop_no_route, 1);
-        let Some((mut c, _d)) = pair_with(UringConfig {
-            loss_prob: 1.0,
-            ..UringConfig::default()
-        }) else {
-            return;
-        };
-        c.tx_burst(&[TxPacket {
-            dst: Addr::new(1, 0),
-            hdr: b"x",
-            data: &[],
-        }]);
-        assert_eq!(c.stats().tx_drop_fault, 1);
-        assert_eq!(c.stats().sqe_submitted, 1); // only the multishot arm
-    }
-
-    #[test]
-    fn uring_oversized_datagram_dropped() {
-        let Some((a, mut b)) = pair_with(UringConfig::default()) else {
-            return;
-        };
-        let ba = b.local_addr().unwrap();
-        drop(a);
-        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
-        raw.send_to(&vec![0xEE; UringConfig::default().mtu + 200], ba)
-            .unwrap();
-        raw.send_to(&[0x11; 64], ba).unwrap();
-        let mut toks = Vec::new();
-        for _ in 0..100_000 {
-            b.rx_burst(8, &mut toks);
-            if !toks.is_empty() {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        assert_eq!(toks.len(), 1, "good datagram must still surface");
-        assert_eq!(b.rx_bytes(&toks[0]), &[0x11; 64][..]);
-        assert_eq!(b.stats().rx_drop_truncated, 1);
-        b.rx_release();
-    }
-
-    #[test]
-    fn uring_rx_buffers_recycle_under_sustained_load() {
-        // More datagrams than RX buffers: release must re-provide
-        // buffers so the stream keeps flowing.
-        let cfg = UringConfig {
-            ring_capacity: 8,
-            ..UringConfig::default()
-        };
-        let Some((mut a, mut b)) = pair_with(cfg) else {
-            return;
-        };
-        let mut total = 0u64;
-        for round in 0..8u8 {
-            let pkts: Vec<[u8; 8]> = (0..6).map(|i| [round, i, 0, 0, 0, 0, 0, 0]).collect();
-            let burst: Vec<TxPacket<'_>> = pkts
-                .iter()
-                .map(|p| TxPacket {
-                    dst: Addr::new(1, 0),
-                    hdr: p,
-                    data: &[],
-                })
-                .collect();
-            a.tx_burst(&burst);
-            let mut toks = Vec::new();
-            for _ in 0..100_000 {
-                b.rx_burst(32, &mut toks);
-                if toks.len() == 6 {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            assert_eq!(toks.len(), 6, "round {round}");
-            total += toks.len() as u64;
-            b.rx_release();
-        }
-        assert_eq!(total, 48);
-        assert_eq!(b.stats().rx_pkts, 48);
-        assert_eq!(b.stats().rx_syscalls, 0, "multishot RX makes no syscalls");
-    }
-
-    #[test]
-    fn sqpoll_steady_state_zero_enters() {
-        let cfg = UringConfig {
-            sqpoll: true,
-            ..UringConfig::default()
-        };
-        let Some((mut a, mut b)) = pair_with(cfg) else {
-            return; // SQPOLL can be separately restricted
-        };
-        // Warm the SQ thread, then measure enters across a burst window.
-        for _ in 0..4 {
-            a.tx_burst(&[TxPacket {
-                dst: Addr::new(1, 0),
-                hdr: b"warm",
-                data: &[],
-            }]);
-        }
-        let enters_before = a.stats().ring_enters;
-        let mut sent = 0;
-        for _ in 0..64 {
-            a.tx_burst(&[TxPacket {
-                dst: Addr::new(1, 0),
-                hdr: b"stdy",
-                data: &[],
-            }]);
-            sent += 1;
-        }
-        let enters = a.stats().ring_enters - enters_before;
-        assert!(
-            enters < sent / 4,
-            "SQPOLL steady state must be (near-)syscall-free: {enters} enters / {sent} bursts"
-        );
-        // And the packets actually flow.
-        let mut toks = Vec::new();
-        let mut got = 0;
-        for _ in 0..200_000 {
-            got += b.rx_burst(32, &mut toks);
-            toks.clear();
-            b.rx_release();
-            if got >= 60 {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        assert!(got >= 60, "only {got}/68 sqpoll packets arrived");
-    }
+    /// Each forced rung: its stage string, and how many fds and mappings
+    /// it holds when it fails (socket and ring fds, two ring mappings,
+    /// the buffer ring).
+    const FORCED: [(u8, &str, u32); 4] = [
+        (1, "forced-after-setup", 2),
+        (2, "forced-after-mmap", 4),
+        (3, "forced-after-register", 5),
+        (4, "forced-after-arm", 5),
+    ];
 
     #[test]
     fn probe_unavailable_is_typed_not_panic() {
-        // Force every post-acquisition probe rung to fail: each must
-        // return the typed error (never panic) and release everything.
-        for stage in 1..=4u8 {
-            let r = IoUringTransport::bind_inner(
-                Addr::new(0, 0),
-                "127.0.0.1:0".parse().unwrap(),
-                UringConfig::default(),
-                (0..8)
-                    .map(|_| vec![0u8; RX_HDR + 1041 + 1].into_boxed_slice())
-                    .collect(),
-                stage,
-            );
-            match r {
-                Err(UringError::Unavailable { stage: s, .. }) => {
-                    assert!(s.starts_with("forced-"), "stage {stage}: {s}");
+        // Forcing any rung to fail returns the typed error, never a panic;
+        // where the kernel grants io_uring, it names the forced rung.
+        let granted = IoUringTransport::probe().is_ok();
+        for (at, name, _) in FORCED {
+            match ladder(at) {
+                Err(UringError::Unavailable { stage, .. }) => {
+                    assert!(!granted || stage == name, "rung {at}: {stage}");
                 }
-                Err(UringError::Io(e)) => panic!("stage {stage}: wrong error class: {e}"),
-                Ok(_) => panic!("stage {stage}: forced failure did not fail"),
+                Err(UringError::Io(e)) => panic!("rung {at}: wrong error class: {e}"),
+                Ok(()) => panic!("rung {at}: forced failure did not fail"),
             }
         }
-    }
-
-    fn open_fds() -> usize {
-        std::fs::read_dir("/proc/self/fd")
-            .map(|d| d.count())
-            .unwrap_or(0)
-    }
-
-    fn mapped_regions() -> usize {
-        std::fs::read_to_string("/proc/self/maps")
-            .map(|s| s.lines().count())
-            .unwrap_or(0)
     }
 
     #[test]
     fn probe_failure_leaks_nothing() {
-        if !available() {
-            // Even then the real probe path must not leak.
-            let fds = open_fds();
-            for _ in 0..32 {
-                let _ = IoUringTransport::probe();
-            }
-            assert!(open_fds() <= fds + 1, "probe leaks fds when unavailable");
-            return;
+        let granted = IoUringTransport::probe().is_ok();
+        for (at, _, takes) in FORCED {
+            let (before, _) = LEDGER.with(Cell::get);
+            let _ = ladder(at);
+            let (after, held) = LEDGER.with(Cell::get);
+            assert_eq!(held, 0, "rung {at}: fds or mappings still held");
+            assert!(!granted || after - before == takes, "rung {at}");
         }
-        // Warm both counters (allocator arenas, /proc handles).
-        for stage in 1..=4u8 {
-            let _ = IoUringTransport::bind_inner(
-                Addr::new(0, 0),
-                "127.0.0.1:0".parse().unwrap(),
-                UringConfig::default(),
-                (0..8)
-                    .map(|_| vec![0u8; RX_HDR + 1041 + 1].into_boxed_slice())
-                    .collect(),
-                stage,
-            );
-        }
-        let fds = open_fds();
-        let maps = mapped_regions();
-        for _ in 0..16 {
-            for stage in 1..=4u8 {
-                let _ = IoUringTransport::bind_inner(
-                    Addr::new(0, 0),
-                    "127.0.0.1:0".parse().unwrap(),
-                    UringConfig::default(),
-                    (0..8)
-                        .map(|_| vec![0u8; RX_HDR + 1041 + 1].into_boxed_slice())
-                        .collect(),
-                    stage,
-                );
-            }
-        }
-        // 64 failed constructions: fd count must be flat; the map count
-        // may wobble by a few regions from allocator arena growth but
-        // must not grow per-iteration (64 leaks would add ≥128 lines).
-        // The counts are process-wide, so the slack has to cover the
-        // sockets and rings of tests running on other threads (≤ 4 each);
-        // a leak of one fd per construction would add 64.
-        assert!(
-            open_fds() <= fds + 8,
-            "forced probe failures leak fds: {} -> {}",
-            fds,
-            open_fds()
-        );
-        assert!(
-            mapped_regions() <= maps + 8,
-            "forced probe failures leak mappings: {} -> {}",
-            maps,
-            mapped_regions()
-        );
     }
 
     #[test]
     fn full_construction_does_not_leak_on_drop() {
-        if !available() {
-            return;
-        }
-        let _ = pair_with(UringConfig::default()); // warm
-        let fds = open_fds();
-        let maps = mapped_regions();
-        for _ in 0..16 {
-            let Some((mut a, mut b)) = pair_with(UringConfig::default()) else {
-                return;
-            };
-            a.tx_burst(&[TxPacket {
-                dst: Addr::new(1, 0),
-                hdr: b"bye!",
-                data: &[],
-            }]);
-            let mut toks = Vec::new();
-            for _ in 0..100_000 {
-                if b.rx_burst(8, &mut toks) > 0 {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            b.rx_release();
-        }
-        // Slack as above; one leaked fd per pair would add 16.
-        assert!(open_fds() <= fds + 8, "drop leaks fds");
-        assert!(mapped_regions() <= maps + 8, "drop leaks mappings");
+        // The whole ladder, armed receive included, then its teardown.
+        let (before, _) = LEDGER.with(Cell::get);
+        let granted = IoUringTransport::probe().is_ok();
+        let (after, held) = LEDGER.with(Cell::get);
+        assert_eq!(held, 0, "the probe left fds or mappings behind");
+        assert!(!granted || after - before == 5, "took {}", after - before);
     }
 }

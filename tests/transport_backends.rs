@@ -1,134 +1,68 @@
-//! Loopback integration test for the socket transport backends (ISSUE 8,
+//! Loopback integration test for the socket transport (ISSUE 8,
 //! satellite 1): the same symmetric fig4-style request/response body runs
-//! over `UdpTransport` (all three rungs of its batching ladder) and, where
-//! the runtime probe succeeds, over `IoUringTransport` with and without
-//! SQPOLL. The in-process `MemTransport` is driven at the `Transport`
-//! trait the way `crates/core` calls it (bottom of the file).
-//!
-//! The io_uring rows are *skip-with-log*, never fail: on a kernel or
-//! seccomp profile that can't grant rings, `run_udp_symmetric` prints the
-//! typed `UringError::Unavailable` reason and returns `None`, and this
-//! test records the skip instead of asserting.
+//! over `UdpTransport` on all three rungs of its batching ladder. The
+//! in-process `MemTransport` is driven at the `Transport` trait the way
+//! `crates/core` calls it (bottom of the file).
 
-use erpc_bench::udp_cluster::{run_udp_symmetric, UdpBackend, UdpSymmetricOpts};
-use erpc_transport::{Addr, MemFabric, MemFabricConfig, MemTransport, Transport, TxPacket};
+use erpc_bench::udp_cluster::{run_udp_symmetric, UdpSymmetricOpts};
+use erpc_transport::{
+    Addr, MemFabric, MemFabricConfig, MemTransport, Transport, TxPacket, UdpBatching,
+};
 
-/// One shared body per backend: short warmup + measure windows, then the
-/// invariants every working backend must satisfy on loopback.
-fn check_backend(backend: UdpBackend) -> bool {
+/// One shared body per rung: short warmup + measure windows, then the
+/// invariants every rung must satisfy on loopback.
+fn check_rung(rung: UdpBatching) {
     let opts = UdpSymmetricOpts {
         warmup_ms: 20,
         measure_ms: 80,
         ..Default::default()
     };
-    let Some(r) = run_udp_symmetric(&opts, backend) else {
-        println!(
-            "[skip] {}: probe declined, backend unavailable here",
-            backend.label()
-        );
-        return false;
-    };
+    let r = run_udp_symmetric(&opts, rung);
     assert!(
         r.total_completed > 0,
-        "{}: no RPCs completed in the measure window",
-        backend.label()
+        "{rung:?}: no RPCs completed in the measure window"
     );
-    assert!(
-        r.passes > 0,
-        "{}: event loop recorded zero passes",
-        backend.label()
-    );
+    assert!(r.passes > 0, "{rung:?}: event loop recorded zero passes");
     assert!(
         r.latency.percentile(50.0) > 0,
-        "{}: latency histogram is empty despite {} completions",
-        backend.label(),
+        "{rung:?}: latency histogram is empty despite {} completions",
         r.total_completed
     );
-    // Backend-specific syscall-shape invariants (the point of the ladder).
-    match backend {
-        UdpBackend::UdpLoop | UdpBackend::UdpMmsg | UdpBackend::UdpSegmented => {
-            assert_eq!(r.ring_enters, 0, "UDP backends must not touch io_uring");
-            assert!(
-                r.tx_syscalls > 0,
-                "{}: UDP datapath reported zero send syscalls",
-                backend.label()
-            );
-            // One kernel message per packet, except where the segmented
-            // rung's probe passed: there runs share messages.
-            if backend == UdpBackend::UdpSegmented && r.gso_fallbacks == 0 {
-                assert!(r.tx_msgs < r.tx_pkts, "segmented rung never built a run");
-            } else {
-                assert_eq!(r.tx_msgs, r.tx_pkts, "{}", backend.label());
-            }
-        }
-        UdpBackend::Uring { sqpoll } => {
-            assert_eq!(
-                r.tx_syscalls + r.rx_syscalls,
-                0,
-                "{}: io_uring datapath must not fall back to send/recv syscalls",
-                backend.label()
-            );
-            assert!(
-                r.cqe_harvested > 0,
-                "{}: completions arrived but no CQEs harvested",
-                backend.label()
-            );
-            if !sqpoll {
-                assert!(
-                    r.enters_per_pass() <= 1.0 + 1e-9,
-                    "{}: {:.3} enters/pass, want ≤ 1",
-                    backend.label(),
-                    r.enters_per_pass()
-                );
-            }
-        }
+    // Syscall-shape invariants (the point of the ladder).
+    assert!(
+        r.tx_syscalls > 0,
+        "{rung:?}: UDP datapath reported zero send syscalls"
+    );
+    // One kernel message per packet, except where the segmented rung's
+    // probe passed: there runs share messages.
+    if rung == UdpBatching::Segmented && r.gso_fallbacks == 0 {
+        assert!(r.tx_msgs < r.tx_pkts, "segmented rung never built a run");
+    } else {
+        assert_eq!(r.tx_msgs, r.tx_pkts, "{rung:?}");
     }
     println!(
-        "[ok] {}: {} RPCs, {} passes, {:.3} syscalls/RPC",
-        backend.label(),
+        "[ok] {rung:?}: {} RPCs, {} passes, {:.3} syscalls/RPC",
         r.total_completed,
         r.passes,
         r.syscalls_per_rpc()
     );
-    true
 }
 
 #[test]
 fn udp_loop_backend_loopback() {
-    assert!(
-        check_backend(UdpBackend::UdpLoop),
-        "plain UDP must always be available"
-    );
+    check_rung(UdpBatching::PerPacket);
 }
 
 #[test]
 fn udp_mmsg_backend_loopback() {
-    assert!(
-        check_backend(UdpBackend::UdpMmsg),
-        "sendmmsg/recvmmsg UDP must always be available"
-    );
+    check_rung(UdpBatching::Mmsg);
 }
 
 #[test]
 fn udp_segmented_backend_loopback() {
-    // Never skipped: a kernel that refuses UDP GSO/GRO runs this body on
-    // the sendmmsg rung, which is the fallback under test.
-    assert!(
-        check_backend(UdpBackend::UdpSegmented),
-        "segmented UDP must always be available (falls back to sendmmsg)"
-    );
-}
-
-#[test]
-fn uring_backend_loopback_or_skip() {
-    // Same body as the UDP rows; skipping (false) is a pass — the probe
-    // result was already logged with its typed reason.
-    let _ran = check_backend(UdpBackend::Uring { sqpoll: false });
-}
-
-#[test]
-fn uring_sqpoll_backend_loopback_or_skip() {
-    let _ran = check_backend(UdpBackend::Uring { sqpoll: true });
+    // A kernel that refuses UDP GSO/GRO runs this body on the sendmmsg
+    // rung, which is the fallback under test.
+    check_rung(UdpBatching::Segmented);
 }
 
 // ── MemTransport under core's calling pattern ──────────────────────────
