@@ -118,8 +118,13 @@ fn bench_ring(c: &mut Criterion) {
 /// ns/pkt of each side of the MemFabric ring at its default geometry
 /// (4096 slots, 1040 B MTU), the producer pushing runs of 1 or 32 packets
 /// and the consumer claiming and releasing 32 at a time — what one
-/// reservation per run buys over one per packet. Each round moves 1024
-/// packets on through the ring, so the arena is walked FIFO as in a run.
+/// reservation per run buys over one per packet. Each round pushes 1024
+/// packets before it claims any, so all but the first 64 of a round land
+/// in positional slots and the arena is walked FIFO as in a deep ring.
+/// Then the two kinds of slot side by side: 32-packet runs pushed,
+/// claimed and released in turn, with the ring otherwise empty (every
+/// packet in the hot window) or held 512 packets deep (every packet in
+/// its positional slot).
 fn ring_run_ledger() {
     const ROUNDS: usize = 1000;
     const PER_ROUND: usize = 1024;
@@ -164,6 +169,40 @@ fn ring_run_ledger() {
                 claim_ns as f64 / pkts
             );
         }
+    }
+    println!("\n1040 B runs of 32, push then claim+release, ns/pkt:");
+    let run = [TxPacket {
+        dst: Addr::new(0, 0),
+        hdr: &body[..16],
+        data: &body[16..],
+    }; 32];
+    for (slots, depth) in ["shallow ring (hot window)", "512 held (positional slots)"]
+        .into_iter()
+        .zip([0, 512])
+    {
+        let ring = PacketRing::new(4096, 1040);
+        for _ in 0..depth / 32 {
+            assert_eq!(ring.push_run(&run), 32);
+        }
+        let (mut push_ns, mut claim_ns) = (0u128, 0u128);
+        for _ in 0..ROUNDS * PER_ROUND / 32 {
+            let t0 = std::time::Instant::now();
+            assert_eq!(ring.push_run(black_box(&run)), 32);
+            let t1 = std::time::Instant::now();
+            toks.clear();
+            assert_eq!(ring.claim_run(32, &mut toks), 32);
+            black_box(ring.claimed_bytes(&toks[31]));
+            ring.release(toks[0].slot(), 32);
+            push_ns += (t1 - t0).as_nanos();
+            claim_ns += t1.elapsed().as_nanos();
+        }
+        let pkts = (ROUNDS * PER_ROUND) as f64;
+        println!(
+            "{:<30} {:>10.1} {:>15.1}",
+            slots,
+            push_ns as f64 / pkts,
+            claim_ns as f64 / pkts
+        );
     }
 }
 
@@ -574,10 +613,12 @@ fn drain(t: &mut MemTransport) {
 /// 32-credit window with one cumulative CR, and one pass takes it and
 /// flushes the next window (kick, descriptor, the 32 packets' ring push).
 /// CRs per request: a real client and server, one pass each in turn, so
-/// every window reaches the server as one burst. Beside them, the floor
-/// under the server's figure: the 1 KiB copy alone, slot after slot out
-/// of a ring-sized arena (4096 slots of 1040 B) into a 1 MiB buffer (the
-/// client's floor, the 1040 B ring push, is in the packet-ring ledger).
+/// every window reaches the server as one burst. Beside them, the floors
+/// under the server's figure: the 1 KiB copy alone into a 1 MiB buffer,
+/// slot after slot out of a ring-sized arena (4096 slots of 1040 B: a deep
+/// ring's positional slots) and out of 64 slots (the hot window a shallow
+/// ring reuses, as in this server's). The client's floor, the 1040 B ring
+/// push, is in the packet-ring ledger.
 fn large_path_ledger() {
     println!("\nlarge-message path (1 MiB requests = {BIG_PKTS} packets, 32 credits, {BIG_ROUNDS} requests):");
     // Server RX: one run per 32-packet burst.
@@ -700,19 +741,24 @@ fn large_path_ledger() {
     println!("{:<48} {:>10}", "CRs per 1 MiB request", crs_per_req);
     let arena = vec![7u8; 4096 * 1040];
     let mut dst = vec![0u8; BIG_PKTS * dpp];
-    let t0 = Instant::now();
-    for r in 0..BIG_ROUNDS {
-        for (k, chunk) in dst.chunks_exact_mut(dpp).enumerate() {
-            let at = (r * BIG_PKTS + k) % 4096 * 1040 + 16;
-            chunk.copy_from_slice(black_box(&arena[at..at + dpp]));
+    for (label, slots) in [
+        ("floor: 1 KiB RX copy, positional (4096 slots)", 4096),
+        ("floor: 1 KiB RX copy, hot window (64 slots)", 64),
+    ] {
+        let t0 = Instant::now();
+        for r in 0..BIG_ROUNDS {
+            for (k, chunk) in dst.chunks_exact_mut(dpp).enumerate() {
+                let at = (r * BIG_PKTS + k) % slots * 1040 + 16;
+                chunk.copy_from_slice(black_box(&arena[at..at + dpp]));
+            }
+            black_box(&mut dst);
         }
-        black_box(&mut dst);
+        println!(
+            "{:<48} {:>10.1} ns/pkt",
+            label,
+            t0.elapsed().as_nanos() as f64 / (BIG_ROUNDS * BIG_PKTS) as f64
+        );
     }
-    println!(
-        "{:<48} {:>10.1} ns/pkt",
-        "floor: the 1 KiB RX copy alone",
-        t0.elapsed().as_nanos() as f64 / (BIG_ROUNDS * BIG_PKTS) as f64
-    );
     assert_eq!(crs_per_req, (BIG_PKTS / 32) as u64, "one CR per window");
 }
 

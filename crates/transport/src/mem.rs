@@ -382,6 +382,31 @@ mod tests {
         assert_eq!(a.stats().tx_drop_ring_full, 6);
     }
 
+    #[test]
+    fn default_ring_holds_exactly_ring_capacity_packets() {
+        // The ring's hot window changes where bytes lie, not how many
+        // descriptors there are: the drop point and `rx_ring_size` (which
+        // bounds sessions, |RQ|/C) stay `ring_capacity`.
+        let cfg = MemFabricConfig::default();
+        let f = MemFabric::new(cfg.clone());
+        let mut a = f.create_transport(Addr::new(0, 0));
+        let mut b = f.create_transport(Addr::new(1, 0));
+        assert_eq!(b.rx_ring_size(), cfg.ring_capacity);
+        let body = vec![0xAB; cfg.mtu - 4];
+        for i in 0..=cfg.ring_capacity as u32 {
+            send(&mut a, b.addr(), &i.to_le_bytes(), &body);
+        }
+        assert_eq!(a.stats().tx_pkts, cfg.ring_capacity as u64);
+        assert_eq!(a.stats().tx_drop_ring_full, 1, "the next one drops");
+        let got = drain(&mut b);
+        assert_eq!(got.len(), cfg.ring_capacity);
+        for (i, p) in got.iter().enumerate() {
+            assert_eq!(p[..4], (i as u32).to_le_bytes());
+            assert!(p[4..] == body[..], "packet {i} intact");
+        }
+        assert_eq!(b.rx_ring_size(), cfg.ring_capacity);
+    }
+
     /// Payloads waiting at `t`, in arrival order.
     fn drain(t: &mut MemTransport) -> Vec<Vec<u8>> {
         let mut toks = Vec::new();

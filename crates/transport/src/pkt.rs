@@ -83,13 +83,16 @@ pub struct RxToken {
     pub(crate) slot: u64,
     /// Payload length in bytes.
     pub(crate) len: u32,
+    /// Where the bytes lie, resolved when the packet is claimed (the
+    /// `PacketRing` arena offset; 0 for other transports).
+    pub(crate) off: u32,
 }
 
 impl RxToken {
     /// Construct a token. Only [`crate::Transport`] implementations should
     /// call this; the `slot` meaning is transport-private.
     pub fn new(slot: u64, len: u32) -> Self {
-        Self { slot, len }
+        Self { slot, len, off: 0 }
     }
 
     /// Transport-private slot identifier (for `Transport` implementors).

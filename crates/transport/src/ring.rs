@@ -17,12 +17,15 @@
 //! * Multi-producer support uses the Vyukov bounded-MPMC protocol on a
 //!   per-slot sequence number; the single consumer needs no CAS.
 //!
-//! Memory layout: one contiguous arena holds all payload bytes (the slot of
-//! position `p` is the `stride` bytes from `(p & mask) * stride`, `stride` a
-//! multiple of 64 and slot 0 on a cache line), beside an array of 16-byte
-//! `SlotMeta` records — sequence number and payload length together, four
-//! slots to a cache line. Sequence numbers provide the acquire/release edges
-//! that make the payload writes of a producer visible to the consumer.
+//! Memory layout: one contiguous arena of `W + capacity` slots holds all
+//! payload bytes (`stride` a multiple of 64, slot 0 on a cache line), beside
+//! an array of 16-byte `SlotMeta` records — sequence number, payload length
+//! and arena offset together, four slots to a cache line. Sequence numbers
+//! provide the acquire/release edges that make the payload writes of a
+//! producer visible to the consumer. Position `p` is written to **hot** slot
+//! `p % W` if a published watermark says every position up to `p − W` is
+//! released, else to its positional slot `W + p % capacity`: a shallow ring
+//! reuses the slots it just released. Admission is positional as before.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -33,6 +36,9 @@ use crate::pkt::{RxToken, TxPacket};
 
 /// Cache-line size the slot stride and the arena base are aligned to.
 const LINE: usize = 64;
+
+/// Hot window slots (at most half the ring); DESIGN.md § "MemFabric" has W's sweep.
+const HOT_SLOTS: usize = 64;
 
 /// Per-slot bookkeeping. Deliberately not padded to a cache line: a run
 /// walks consecutive records, so four slots share a line (DESIGN.md
@@ -45,6 +51,8 @@ struct SlotMeta {
     /// slot's owning producer writes it before the `seq` release-store and
     /// the consumer reads it after the matching acquire-load.
     len: AtomicU32,
+    /// Arena offset of the payload, hot or positional; `Relaxed` like `len`.
+    off: AtomicU32,
 }
 
 /// Fixed-capacity MPSC ring of variable-length packets stored in place.
@@ -68,9 +76,16 @@ pub struct PacketRing {
     /// Bytes per slot, a multiple of 64.
     stride: usize,
     mask: usize,
+    /// Slots in the hot window, a power of two.
+    hot: usize,
     enqueue_pos: CachePadded<AtomicUsize>,
-    /// Only the consumer advances this.
-    dequeue_pos: CachePadded<AtomicUsize>,
+    /// Consumer-owned: `[0]` the next position to claim, `[1]` the exact
+    /// released prefix (every position below it is released).
+    dequeue_pos: CachePadded<[AtomicUsize; 2]>,
+    /// `dequeue_pos[1]` as producers see it (acquire-load, once per run):
+    /// release-stored only after `W / 2` of progress, so a producer on
+    /// another core misses on this line once per `W / 2` positions.
+    released: CachePadded<AtomicUsize>,
     /// Set when the consumer endpoint goes away (NIC teardown). Producers
     /// holding a stale `Arc` to this ring check it before pushing, so a
     /// dropped endpoint cannot silently swallow packets forever.
@@ -99,31 +114,42 @@ unsafe impl Send for PacketRing {}
 // acquire-load synchronizes with the producer's release-store before it
 // reads the slot, and producers cannot touch a claimed slot again until
 // `release` bumps the sequence by one full lap (a release-store, paired
-// with the acquire-load in `push_run`). (3) `closed` is an independent
-// monotonic flag with its own release/acquire pair; it gates new pushes
-// only and never transfers data.
-// COVERS: ring_stress (Miri), concurrent_producers_no_loss_no_dup
+// with the acquire-load in `push_run`). (3) The hot window: a producer
+// writes position `p` to hot slot `p % W` only after acquire-loading a
+// `released` watermark above `p − W`, which the consumer release-stores
+// after its last read of every position below it. Any other position
+// `q ≡ p (mod W)` that shares the hot slot is either `≤ p − W`, hence
+// released and never read again, or `≥ p + W`, which takes the hot slot
+// only once `p` itself is released; so no two live positions share one. A
+// stale (or lazily published, so smaller) watermark only sends a producer
+// to its positional slot. (4) `closed` is an independent monotonic flag
+// with its own release/acquire pair; it gates new pushes only and never
+// transfers data.
+// COVERS: ring_stress (Miri), concurrent_producers_no_loss_no_dup, hot_window_* unit tests (Miri)
 unsafe impl Sync for PacketRing {}
 
 impl PacketRing {
     /// Create a ring with `capacity` slots (rounded up to a power of two)
     /// for packets of up to `slot_size` bytes (rounded up to a multiple of
-    /// 64, so every slot starts on a cache line).
+    /// 64, so every slot starts on a cache line). Panics past a 4 GiB arena.
     pub fn new(capacity: usize, slot_size: usize) -> Self {
         let cap = capacity.next_power_of_two().max(2);
+        let hot = (cap / 2).min(HOT_SLOTS);
         let stride = slot_size.max(1).next_multiple_of(LINE);
         let meta = (0..cap)
             .map(|i| SlotMeta {
                 seq: AtomicUsize::new(i),
                 len: AtomicU32::new(0),
+                off: AtomicU32::new(0),
             })
             .collect();
-        // Allocated zeroed: a large arena comes straight from the OS and is
-        // faulted in only where packets land.
-        let arena_len = cap
+        // One allocation, hot window first, zeroed: a large arena comes from
+        // the OS and is faulted in only where packets land. Offsets are `u32`.
+        let arena_len = (cap + hot)
             .checked_mul(stride)
             .and_then(|slots| slots.checked_add(LINE))
-            .expect("ring arena size overflows usize");
+            .filter(|&len| u32::try_from(len).is_ok())
+            .expect("ring arena exceeds 4 GiB");
         let bytes = vec![0u8; arena_len].into_boxed_slice();
         // SAFETY: `UnsafeCell<u8>` is `repr(transparent)` over `u8`, so the
         // slice types share one layout and the allocation is later freed
@@ -138,8 +164,10 @@ impl PacketRing {
             base,
             stride,
             mask: cap - 1,
+            hot,
             enqueue_pos: CachePadded::new(AtomicUsize::new(0)),
-            dequeue_pos: CachePadded::new(AtomicUsize::new(0)),
+            dequeue_pos: CachePadded::new([AtomicUsize::new(0), AtomicUsize::new(0)]),
+            released: CachePadded::new(AtomicUsize::new(0)),
             closed: AtomicBool::new(false),
         }
     }
@@ -173,11 +201,22 @@ impl PacketRing {
         &self.meta[pos & self.mask]
     }
 
-    /// First byte of the slot of position `pos`. Derived from the whole
-    /// arena, so the pointer is good for all `stride` bytes of the slot.
+    /// Arena offset of the slot position `pos` is written to: its hot slot
+    /// if `pos < hot_end` (the watermark plus `W`), else its positional one.
     #[inline]
-    fn slot_bytes(&self, pos: usize) -> *mut u8 {
-        let off = self.base + (pos & self.mask) * self.stride;
+    fn slot_off(&self, pos: usize, hot_end: usize) -> usize {
+        let slot = if pos < hot_end {
+            pos & (self.hot - 1)
+        } else {
+            self.hot + (pos & self.mask)
+        };
+        self.base + slot * self.stride
+    }
+
+    /// First byte of the slot at arena offset `off`. Derived from the
+    /// whole arena, so the pointer is good for all `stride` bytes of it.
+    #[inline]
+    fn slot_bytes(&self, off: usize) -> *mut u8 {
         debug_assert!(off + self.stride <= self.arena.len());
         UnsafeCell::raw_get(self.arena.as_ptr().wrapping_add(off))
     }
@@ -224,20 +263,24 @@ impl PacketRing {
                 Err(actual) => pos = actual,
             }
         };
+        // Pairs with the consumer's release-store in `release`.
+        let hot_end = self.released.load(Ordering::Acquire) + self.hot;
         for (k, p) in pkts[..n].iter().enumerate() {
-            let dst = self.slot_bytes(pos + k);
+            let off = self.slot_off(pos + k, hot_end);
+            let dst = self.slot_bytes(off);
             // SAFETY: the CAS gave this thread exclusive ownership of the `n`
-            // slots from position `pos` until their release-stores below;
-            // `p.len() <= stride` was checked while counting, so both copies
-            // stay inside the slot, and the sources are live borrows that
-            // cannot overlap memory this thread owns exclusively.
-            // COVERS: ring unit tests, ring_props, ring_stress (Miri)
+            // positions from `pos`, and so of their slots (`Sync` impl (3)),
+            // until their release-stores below; `p.len() <= stride` was checked
+            // while counting, so both copies stay inside the slot, and the
+            // sources are live borrows that cannot overlap owned memory.
+            // COVERS: ring unit tests, hot_window_*, ring_props, ring_stress (Miri)
             unsafe {
                 std::ptr::copy_nonoverlapping(p.hdr.as_ptr(), dst, p.hdr.len());
                 std::ptr::copy_nonoverlapping(p.data.as_ptr(), dst.add(p.hdr.len()), p.data.len());
             }
             let m = self.meta(pos + k);
             m.len.store(p.len() as u32, Ordering::Relaxed);
+            m.off.store(off as u32, Ordering::Relaxed);
             m.seq.store(pos + k + 1, Ordering::Release);
         }
         n
@@ -249,22 +292,23 @@ impl PacketRing {
     /// `dequeue_pos` load and store per call. Must only be called by the
     /// single consumer.
     pub fn claim_run(&self, max: usize, out: &mut Vec<RxToken>) -> usize {
-        let pos = self.dequeue_pos.load(Ordering::Relaxed);
+        let pos = self.dequeue_pos[0].load(Ordering::Relaxed);
         let mut n = 0;
         while n < max {
             let m = self.meta(pos + n);
-            // Pairs with the producer's release-store: makes `len` and the
-            // payload bytes visible.
+            // Pairs with the producer's release-store: makes `len`, `off`
+            // and the payload bytes visible.
             if m.seq.load(Ordering::Acquire) != pos + n + 1 {
                 break;
             }
-            out.push(RxToken::new(
-                (pos + n) as u64,
-                m.len.load(Ordering::Relaxed),
-            ));
+            out.push(RxToken {
+                slot: (pos + n) as u64,
+                len: m.len.load(Ordering::Relaxed),
+                off: m.off.load(Ordering::Relaxed),
+            });
             n += 1;
         }
-        self.dequeue_pos.store(pos + n, Ordering::Relaxed);
+        self.dequeue_pos[0].store(pos + n, Ordering::Relaxed);
         n
     }
 
@@ -275,17 +319,19 @@ impl PacketRing {
     /// have been released yet.
     pub fn claimed_bytes(&self, tok: &RxToken) -> &[u8] {
         let len = tok.len().min(self.stride);
-        // SAFETY: per the contract the slot is claimed by the (single)
-        // consumer, so no producer writes it while the borrow lives; `len`
-        // is clamped to the slot.
-        // COVERS: ring unit tests, ring_props, ring_stress (Miri)
-        unsafe { std::slice::from_raw_parts(self.slot_bytes(tok.slot() as usize), len) }
+        let off = (tok.off as usize).min(self.arena.len() - self.stride);
+        // SAFETY: per the contract the token's position is claimed by the
+        // (single) consumer and not released, so no producer writes its slot
+        // (hot or positional, `Sync` impl (3)) while the borrow lives; `off`
+        // and `len` are clamped to the arena and the slot.
+        // COVERS: ring unit tests, hot_window_*, ring_props, ring_stress (Miri)
+        unsafe { std::slice::from_raw_parts(self.slot_bytes(off), len) }
     }
 
     /// Consumer side: return `count` claimed slots from position `first`
     /// on to the producers ("re-post the RX descriptors"). Ranges may be
     /// released in any order; a slot released late holds producers up at
-    /// its own position only.
+    /// its own position only, and the hot-window watermark behind it.
     pub fn release(&self, first: u64, count: usize) {
         let first = first as usize;
         for pos in first..first + count {
@@ -293,12 +339,26 @@ impl PacketRing {
                 .seq
                 .store(pos + self.mask + 1, Ordering::Release);
         }
+        let mut wm = self.dequeue_pos[1].load(Ordering::Relaxed);
+        if first <= wm {
+            // Extend the prefix over this range and ranges released ahead of
+            // it (a held position has `seq == p + 1`, a released one moved on).
+            wm = wm.max(first + count);
+            let claimed = self.dequeue_pos[0].load(Ordering::Relaxed);
+            while wm < claimed && self.meta(wm).seq.load(Ordering::Relaxed) != wm + 1 {
+                wm += 1;
+            }
+            self.dequeue_pos[1].store(wm, Ordering::Relaxed);
+            if wm >= self.released.load(Ordering::Relaxed) + self.hot / 2 {
+                self.released.store(wm, Ordering::Release);
+            }
+        }
     }
 
     /// Approximate number of filled-but-unclaimed packets (racy; for stats).
     pub fn len_approx(&self) -> usize {
         let e = self.enqueue_pos.load(Ordering::Relaxed);
-        let d = self.dequeue_pos.load(Ordering::Relaxed);
+        let d = self.dequeue_pos[0].load(Ordering::Relaxed);
         e.saturating_sub(d)
     }
 }
@@ -365,8 +425,12 @@ mod tests {
         for (asked, stride) in [(0, 64), (1, 64), (64, 64), (65, 128), (1040, 1088)] {
             let r = PacketRing::new(2, asked);
             assert_eq!(r.slot_size(), stride);
-            assert_eq!(r.slot_bytes(0) as usize % LINE, 0);
-            assert_eq!(r.slot_bytes(1) as usize - r.slot_bytes(0) as usize, stride);
+            let (a, b) = (
+                r.slot_bytes(r.slot_off(0, 0)),
+                r.slot_bytes(r.slot_off(1, 0)),
+            );
+            assert_eq!(a as usize % LINE, 0);
+            assert_eq!(b as usize - a as usize, stride);
         }
     }
 
@@ -410,6 +474,102 @@ mod tests {
             r.release(tok.slot(), 1);
         }
         assert_eq!(seen, vec![2, 3, 9, 10]);
+    }
+
+    /// Whether `tok`'s bytes lie in `r`'s hot window.
+    fn in_window(r: &PacketRing, tok: &RxToken) -> bool {
+        (tok.off as usize) < r.base + r.hot * r.stride
+    }
+
+    /// Push packets `from..from + n` (4-byte payloads) one at a time, claim them
+    /// and return the tokens, unreleased.
+    fn hold(r: &PacketRing, from: u32, n: u32) -> Vec<RxToken> {
+        for i in from..from + n {
+            assert!(push(r, &i.to_le_bytes()));
+        }
+        let mut toks = Vec::new();
+        assert_eq!(r.claim_run(n as usize, &mut toks), n as usize);
+        toks
+    }
+
+    #[test]
+    fn hot_window_engages_below_w_unreleased_positions() {
+        let w = HOT_SLOTS as u32;
+        for held in [w - 1, w, w + 1] {
+            let r = PacketRing::new(256, 64);
+            assert_eq!(r.hot, HOT_SLOTS);
+            // Move the watermark off zero and the hot index past a wrap.
+            let warm = hold(&r, 0, 100);
+            r.release(warm[0].slot(), 100);
+            let toks = hold(&r, 100, held + 1);
+            let placed: Vec<bool> = toks.iter().map(|t| in_window(&r, t)).collect();
+            // Occupancy `k` before a push: hot iff k < W.
+            let want: Vec<bool> = (0..=held).map(|k| k < w).collect();
+            assert_eq!(placed, want, "{held} held");
+            for (i, t) in toks.iter().enumerate() {
+                assert_eq!(r.claimed_bytes(t), (100 + i as u32).to_le_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn hot_window_run_straddles_the_edge() {
+        let r = PacketRing::new(256, 64);
+        let held = hold(&r, 0, HOT_SLOTS as u32 - 5);
+        let bodies: Vec<[u8; 4]> = (0..10u32).map(|i| (1000 + i).to_le_bytes()).collect();
+        let run: Vec<TxPacket<'_>> = bodies.iter().map(|b| pkt(b, &[])).collect();
+        assert_eq!(r.push_run(&run), 10, "one reservation, both kinds of slot");
+        let mut toks = Vec::new();
+        assert_eq!(r.claim_run(10, &mut toks), 10);
+        let placed: Vec<bool> = toks.iter().map(|t| in_window(&r, t)).collect();
+        assert_eq!(placed, [[true; 5], [false; 5]].concat());
+        for (t, b) in toks.iter().zip(&bodies) {
+            assert_eq!(r.claimed_bytes(t), b);
+        }
+        for (i, t) in held.iter().enumerate() {
+            assert_eq!(r.claimed_bytes(t), (i as u32).to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn hot_window_watermark_is_published_every_half_window() {
+        let r = PacketRing::new(256, 64);
+        for i in 0..200u32 {
+            let tok = hold(&r, i, 1)[0];
+            assert!(in_window(&r, &tok), "packet {i} of a ring one deep");
+            r.release(tok.slot(), 1);
+            let (exact, seen) = (i as usize + 1, r.released.load(Ordering::Relaxed));
+            assert_eq!(r.dequeue_pos[1].load(Ordering::Relaxed), exact);
+            assert_eq!(seen, exact / 32 * 32, "published in steps of W / 2");
+        }
+    }
+
+    #[test]
+    fn hot_window_watermark_waits_behind_a_hole() {
+        let r = PacketRing::new(256, 64);
+        let n = HOT_SLOTS as u32 + 10;
+        let toks = hold(&r, 0, n);
+        // Release every position but 0, back to front.
+        for t in toks[1..].iter().rev() {
+            r.release(t.slot(), 1);
+        }
+        assert_eq!(
+            r.released.load(Ordering::Relaxed),
+            0,
+            "held behind the hole"
+        );
+        // Position 0 holds hot slot 0; position W + 10 must not take a hot
+        // slot, and position 0's bytes stay intact.
+        let next = hold(&r, n, 1);
+        assert!(!in_window(&r, &next[0]));
+        assert_eq!(r.claimed_bytes(&toks[0]), 0u32.to_le_bytes());
+        r.release(toks[0].slot(), 1);
+        // The prefix now runs to the last claimed position, still held.
+        assert_eq!(r.released.load(Ordering::Relaxed), n as usize);
+        let after = hold(&r, n + 1, 1);
+        assert!(in_window(&r, &after[0]));
+        assert_eq!(r.claimed_bytes(&next[0]), n.to_le_bytes());
+        assert_eq!(r.claimed_bytes(&after[0]), (n + 1).to_le_bytes());
     }
 
     #[test]

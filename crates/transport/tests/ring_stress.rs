@@ -7,6 +7,7 @@
 //! `unsafe impl Send/Sync for PacketRing` comments claim: producer
 //! threads pushing runs, one consumer thread claiming/reading/releasing.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -237,4 +238,116 @@ fn close_is_visible_across_threads() {
         drained += 1;
     }
     assert_eq!(drained, accepted);
+}
+
+/// Checksummed payload of packet `i` of producer `p`: the tag, a body of
+/// 0..=20 bytes derived from both, then an FNV-1a sum of everything
+/// before it, so a torn, stale or misplaced slot is caught on its own.
+fn tagged(p: usize, i: usize) -> Vec<u8> {
+    let mut b = (((p as u64) << 32) | i as u64).to_le_bytes().to_vec();
+    b.extend((0..(i + p) % 21).map(|j| (i * 7 + j * 13 + p) as u8));
+    let sum = fnv(&b);
+    b.extend_from_slice(&sum.to_le_bytes());
+    b
+}
+
+/// Verify a claimed packet against its checksum and its expected bytes;
+/// return its (producer, index) tag.
+fn check(ring: &PacketRing, tok: &RxToken) -> (usize, usize) {
+    let b = ring.claimed_bytes(tok);
+    let (body, sum) = b.split_at(b.len() - 4);
+    assert_eq!(
+        fnv(body).to_le_bytes(),
+        sum,
+        "torn packet at {}",
+        tok.slot()
+    );
+    let v = u64::from_le_bytes(body[..8].try_into().unwrap());
+    let (p, i) = ((v >> 32) as usize, (v & 0xFFFF_FFFF) as usize);
+    assert_eq!(b, tagged(p, i).as_slice());
+    (p, i)
+}
+
+fn fnv(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c_9dc5, |h, &x| {
+        (h ^ x as u32).wrapping_mul(0x0100_0193)
+    })
+}
+
+/// Several producers push runs while the consumer holds its claims until
+/// a threshold that cycles below, at and above the hot window (half of
+/// this 16-slot ring), then releases them in two ranges, back half first.
+/// The ring's occupancy thus keeps crossing the window's edge, so packets
+/// land in hot and positional slots in turn and the watermark both waits
+/// behind a hole and jumps over ranges released ahead of it. Every packet
+/// arrives once, intact, and in its producer's order.
+#[test]
+fn producers_across_the_hot_window() {
+    const PRODUCERS: usize = 3;
+    const WINDOW: usize = 8;
+    let per_producer = if cfg!(miri) { 40 } else { 20_000 };
+    let ring = Arc::new(PacketRing::new(16, 64));
+    let finished = Arc::new(AtomicUsize::new(0));
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|p| {
+            let (ring, finished) = (Arc::clone(&ring), Arc::clone(&finished));
+            thread::spawn(move || {
+                let bodies: Vec<Vec<u8>> = (0..per_producer).map(|i| tagged(p, i)).collect();
+                let mut sent = 0;
+                while sent < per_producer {
+                    let end = (sent + 1 + (sent + p) % 4).min(per_producer);
+                    let run: Vec<TxPacket<'_>> = bodies[sent..end]
+                        .iter()
+                        .map(|b| pkt(&b[..5], &b[5..]))
+                        .collect();
+                    match ring.push_run(&run) {
+                        0 => thread::yield_now(),
+                        n => sent += n,
+                    }
+                }
+                finished.fetch_add(1, Ordering::Release);
+            })
+        })
+        .collect();
+    let thresholds = [WINDOW - 1, WINDOW, WINDOW + 1, 3, 14];
+    let (mut next, mut held, mut rounds) = (vec![0usize; PRODUCERS], Vec::new(), 0);
+    while next.iter().sum::<usize>() < PRODUCERS * per_producer {
+        // Read before claiming: once every producer is done, a claim of
+        // nothing means the ring is empty.
+        let done = finished.load(Ordering::Acquire) == PRODUCERS;
+        let n = ring.claim_run(4, &mut held);
+        let flush = n == 0 && done && !held.is_empty();
+        if held.len() < thresholds[rounds % thresholds.len()] && !flush {
+            if n == 0 {
+                thread::yield_now();
+            }
+            continue;
+        }
+        for tok in &held {
+            let (p, i) = check(&ring, tok);
+            assert_eq!(i, next[p], "producer {p}: lost, repeated or reordered");
+            next[p] += 1;
+        }
+        // The front half stays held while the back half goes back and the
+        // producers refill: the watermark may not pass it, so its bytes
+        // must survive.
+        let (first, mid) = (held[0].slot(), held.len() / 2);
+        ring.release(first + mid as u64, held.len() - mid);
+        for _ in 0..8 {
+            if ring.len_approx() >= mid {
+                break;
+            }
+            thread::yield_now();
+        }
+        for tok in &held[..mid] {
+            check(&ring, tok);
+        }
+        ring.release(first, mid);
+        held.clear();
+        rounds += 1;
+    }
+    for h in producers {
+        h.join().unwrap();
+    }
+    assert!(claim(&ring).is_none(), "ring must drain empty");
 }
