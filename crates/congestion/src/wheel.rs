@@ -28,7 +28,10 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug)]
 pub struct TimingWheel<T> {
+    /// Built on the first `insert`: a wheel that never paces (every
+    /// bypassed session's) holds no slot table.
     slots: Vec<VecDeque<(u64, T)>>,
+    num_slots: usize,
     /// Slot width in nanoseconds.
     granularity_ns: u64,
     /// Absolute time of the cursor slot's left edge.
@@ -46,7 +49,8 @@ impl<T> TimingWheel<T> {
     pub fn new(num_slots: usize, granularity_ns: u64, start_ns: u64) -> Self {
         assert!(num_slots >= 2 && granularity_ns > 0);
         Self {
-            slots: (0..num_slots).map(|_| VecDeque::new()).collect(),
+            slots: Vec::new(),
+            num_slots,
             granularity_ns,
             cursor_time_ns: start_ns,
             cursor: 0,
@@ -67,7 +71,7 @@ impl<T> TimingWheel<T> {
 
     /// Scheduling horizon in nanoseconds.
     pub fn horizon_ns(&self) -> u64 {
-        self.slots.len() as u64 * self.granularity_ns
+        self.num_slots as u64 * self.granularity_ns
     }
 
     /// Insert `item` to be released at `deadline_ns`. Deadlines in the past
@@ -75,10 +79,13 @@ impl<T> TimingWheel<T> {
     /// the horizon are clamped to the farthest slot and re-inserted upon
     /// reaping if still premature.
     pub fn insert(&mut self, deadline_ns: u64, item: T) {
+        if self.slots.is_empty() {
+            self.slots = (0..self.num_slots).map(|_| VecDeque::new()).collect();
+        }
         let dist = deadline_ns.saturating_sub(self.cursor_time_ns) / self.granularity_ns;
         // Clamp: the farthest distinct slot is num_slots - 1 ahead.
-        let dist = (dist as usize).min(self.slots.len() - 1);
-        let idx = (self.cursor + dist) % self.slots.len();
+        let dist = (dist as usize).min(self.num_slots - 1);
+        let idx = (self.cursor + dist) % self.num_slots;
         self.slots[idx].push_back((deadline_ns, item));
         self.len += 1;
     }
@@ -91,7 +98,7 @@ impl<T> TimingWheel<T> {
     /// jumps its cursor, and of a gap longer than the horizon only the
     /// last revolution is walked.
     pub fn reap(&mut self, now_ns: u64, mut f: impl FnMut(T)) {
-        let n = self.slots.len() as u64;
+        let n = self.num_slots as u64;
         let mut steps = now_ns.saturating_sub(self.cursor_time_ns) / self.granularity_ns;
         if steps > n {
             // Every slot is overdue, so one revolution meets every entry:
@@ -105,7 +112,7 @@ impl<T> TimingWheel<T> {
         while steps > 0 && self.len > 0 {
             // Drain the cursor slot entirely before advancing.
             self.drain_cursor(now_ns, &mut f);
-            self.cursor = (self.cursor + 1) % self.slots.len();
+            self.cursor = (self.cursor + 1) % self.num_slots;
             self.cursor_time_ns += self.granularity_ns;
             steps -= 1;
             #[cfg(test)]
@@ -121,6 +128,9 @@ impl<T> TimingWheel<T> {
     }
 
     fn drain_cursor(&mut self, now_ns: u64, f: &mut impl FnMut(T)) {
+        if self.len == 0 {
+            return;
+        }
         let slot_idx = self.cursor;
         let mut requeue: Vec<(u64, T)> = Vec::new();
         while let Some((deadline, item)) = self.slots[slot_idx].pop_front() {
@@ -240,6 +250,20 @@ mod tests {
         assert!(w.advances - before <= 64);
         assert_eq!(w.len(), 1);
         assert_eq!(drain(&mut w, 3 * idle + 1_000), vec![4]);
+    }
+
+    #[test]
+    fn slot_table_is_built_on_first_insert() {
+        let mut w = TimingWheel::new(4096, 200, 0);
+        assert_eq!(w.horizon_ns(), 4096 * 200);
+        // Reaping a never-used wheel moves its cursor and allocates nothing.
+        assert_eq!(drain(&mut w, 1_000_000), Vec::<u32>::new());
+        assert!(w.slots.is_empty());
+        w.insert(1_000_100, 1);
+        assert_eq!(w.slots.len(), 4096);
+        assert_eq!(w.horizon_ns(), 4096 * 200);
+        assert_eq!(drain(&mut w, 1_000_000), Vec::<u32>::new());
+        assert_eq!(drain(&mut w, 1_000_200), vec![1]);
     }
 
     #[test]

@@ -214,8 +214,8 @@ impl MsgBuf {
 ///
 /// Plays the role of eRPC's hugepage allocator: allocation on the datapath
 /// is a freelist pop; `free` recycles. The *preallocated responses*
-/// optimization (§4.3, Table 3) works by sizing one msgbuf per server slot
-/// at session setup and never touching the pool on the fast path.
+/// optimization (§4.3, Table 3) works by taking one msgbuf per server slot
+/// on the slot's first request and never touching the pool for it again.
 #[derive(Debug)]
 pub struct BufPool {
     /// `classes[k]` holds buffers of exactly `1 << k` bytes.

@@ -200,7 +200,9 @@ pub struct ReqContext<'a> {
 /// The §4.3 response-buffer choice, made in exactly one place: the slot's
 /// preallocated msgbuf when `opt_preallocated_responses` is on and `cap`
 /// bytes fit it (no allocator traffic), else a pooled buffer — with an
-/// unsuitable prealloc left in place for future requests. The `bool` says
+/// unsuitable prealloc left in place for future requests. A slot takes its
+/// MTU-sized prealloc from the pool on its first response that fits one,
+/// and keeps it: an idle server slot holds no buffer. The `bool` says
 /// which, so slot reuse knows where the buffer goes back.
 fn take_resp_buf(
     prealloc: &mut Option<MsgBuf>,
@@ -210,6 +212,7 @@ fn take_resp_buf(
 ) -> (MsgBuf, bool) {
     match prealloc.take() {
         Some(p) if enabled && cap <= p.capacity() => (p, true),
+        None if enabled && cap <= pool.data_per_pkt() => (pool.alloc(pool.data_per_pkt()), true),
         other => {
             *prealloc = other;
             (pool.alloc(cap), false)
@@ -522,7 +525,10 @@ impl<T: Transport> Rpc<T> {
             ops_scratch: Vec::new(),
             worker,
             worker_done_scratch: Vec::new(),
-            stats: RpcStats::default(),
+            stats: RpcStats {
+                rto_backoff_hist: crate::stats::LatencyHistogram::preallocated(),
+                ..RpcStats::default()
+            },
             work: WorkCounts::default(),
             now_cache: now,
             issue_stamp: None,

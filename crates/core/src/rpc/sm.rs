@@ -90,9 +90,8 @@ impl<T: Transport> Rpc<T> {
             return;
         }
         let num = self.alloc_session_slot();
-        let dpp = self.dpp;
         let slots: Vec<Slot> = (0..self.cfg.slots_per_session)
-            .map(|_| Slot::Server(ServerSlot::new(self.pool.alloc(dpp))))
+            .map(|_| Slot::Server(ServerSlot::new()))
             .collect();
         let mut sess = Session::new_server(
             num,

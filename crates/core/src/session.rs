@@ -211,7 +211,8 @@ pub(crate) struct ServerSlot {
     /// The response message (preallocated or pooled).
     pub resp: Option<MsgBuf>,
     pub resp_is_prealloc: bool,
-    /// MTU-sized preallocated response buffer (§4.3 optimization).
+    /// MTU-sized preallocated response buffer (§4.3 optimization), taken
+    /// from the pool by the slot's first response that fits it.
     pub prealloc: Option<MsgBuf>,
     /// Explicit per-slot ECN echo state: an ECN mark arrived on a request
     /// packet that gets no CR (e.g. the last one), so the response packets
@@ -224,7 +225,7 @@ pub(crate) struct ServerSlot {
 }
 
 impl ServerSlot {
-    pub fn new(prealloc: MsgBuf) -> Self {
+    pub fn new() -> Self {
         Self {
             phase: SrvPhase::Idle,
             req_num: u64::MAX,
@@ -234,7 +235,7 @@ impl ServerSlot {
             req_total: 0,
             resp: None,
             resp_is_prealloc: false,
-            prealloc: Some(prealloc),
+            prealloc: None,
             resp_ecn: false,
         }
     }

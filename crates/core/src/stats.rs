@@ -174,10 +174,11 @@ impl RpcStats {
 }
 
 /// Log-bucketed latency histogram: 2 % worst-case relative error, constant
-/// memory, O(1) record.
+/// memory (allocated on the first record), O(1) record.
 #[derive(Clone)]
 pub struct LatencyHistogram {
     /// `buckets[major][minor]`: major = log2(value), minor = next 6 bits.
+    /// Empty until the first sample.
     buckets: Vec<u64>,
     count: u64,
     max: u64,
@@ -192,7 +193,7 @@ const MAJORS: usize = 40; // up to ~2^40 ns ≈ 18 minutes
 impl LatencyHistogram {
     pub fn new() -> Self {
         Self {
-            buckets: vec![0; MAJORS * MINORS],
+            buckets: Vec::new(),
             count: 0,
             max: 0,
             min: u64::MAX,
@@ -225,11 +226,28 @@ impl LatencyHistogram {
     /// Record one sample (nanoseconds, but any unit works).
     #[inline]
     pub fn record(&mut self, value: u64) {
+        if self.buckets.is_empty() {
+            self.alloc_buckets();
+        }
         self.buckets[Self::index(value)] += 1;
         self.count += 1;
         self.sum += value;
         self.max = self.max.max(value);
         self.min = self.min.min(value);
+    }
+
+    /// Buckets from the start, for a rare path whose first sample may come
+    /// in steady state and must not allocate there (the RTO scan's).
+    pub(crate) fn preallocated() -> Self {
+        let mut h = Self::new();
+        h.alloc_buckets();
+        h
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn alloc_buckets(&mut self) {
+        self.buckets = vec![0; MAJORS * MINORS];
     }
 
     pub fn count(&self) -> u64 {
@@ -274,6 +292,9 @@ impl LatencyHistogram {
 
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &Self) {
+        if self.buckets.is_empty() && !other.buckets.is_empty() {
+            self.alloc_buckets();
+        }
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
@@ -319,6 +340,33 @@ mod tests {
         assert_eq!(h.percentile(50.0), 0);
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), 0);
+    }
+
+    #[test]
+    fn empty_histogram_allocates_nothing_until_recorded() {
+        let empty = LatencyHistogram::new();
+        assert!(empty.buckets.is_empty());
+        let mut h = empty.clone();
+        h.clear();
+        h.merge(&LatencyHistogram::new());
+        assert!(h.buckets.is_empty());
+        assert_eq!(
+            (h.count(), h.percentile(99.0), h.min(), h.max()),
+            (0, 0, 0, 0)
+        );
+        // Merging samples into an empty histogram is recording them.
+        let mut full = LatencyHistogram::new();
+        full.record(1234);
+        full.record(99);
+        h.merge(&full);
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.percentile(50.0), full.percentile(50.0));
+        assert_eq!(h.percentile(100.0), full.percentile(100.0));
+        // And an empty one merged into a full one changes nothing.
+        full.merge(&LatencyHistogram::new());
+        assert_eq!((full.count(), full.min(), full.max()), (2, 99, 1234));
+        full.clear();
+        assert_eq!((full.count(), full.percentile(50.0)), (0, 0));
     }
 
     #[test]

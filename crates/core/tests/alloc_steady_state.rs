@@ -233,6 +233,17 @@ fn steady_state_is_allocation_free() {
         "counting allocator must be registered, or this gate is vacuous"
     );
 
+    // ── Set-up pays for what it touches: the pacing wheel and the
+    // histograms are built on first use, so a default endpoint is small ──
+    {
+        let transport = fabric.create_transport(Addr::new(8, 0));
+        let before = snapshot();
+        let rpc = Rpc::new(transport, RpcConfig::default());
+        let bytes = snapshot().since(&before).bytes;
+        assert!(bytes < 64 * 1024, "Rpc::new allocated {bytes} B");
+        drop(rpc);
+    }
+
     // ── Scenario 1: dispatch path (zero-copy RX + preallocated resp) ──
     {
         let mut server = Rpc::new(fabric.create_transport(Addr::new(0, 0)), cfg());

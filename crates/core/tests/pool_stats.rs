@@ -73,3 +73,58 @@ fn pool_stats_surface_through_rpc_stats() {
     );
     assert!(agg.pool_allocs_new > 0);
 }
+
+/// Pool buffers the server has handed out so far, hits and misses.
+fn pool_allocs(rpc: &Rpc<MemTransport>) -> u64 {
+    rpc.stats().pool_allocs_new + rpc.stats().pool_allocs_reused
+}
+
+/// One closed-loop echo, returning the server's pool allocations for it.
+fn echo_cost(
+    client: &mut Rpc<MemTransport>,
+    server: &mut Rpc<MemTransport>,
+    sess: SessionHandle,
+) -> u64 {
+    let before = pool_allocs(server);
+    let done = std::rc::Rc::new(Cell::new(false));
+    let done2 = done.clone();
+    let (req, resp) = (client.alloc_msg_buffer(32), client.alloc_msg_buffer(64));
+    client
+        .enqueue_request(sess, ECHO, req, resp, move |ctx, comp| {
+            assert!(comp.result.is_ok());
+            ctx.free_msg_buffer(comp.req);
+            ctx.free_msg_buffer(comp.resp);
+            done2.set(true);
+        })
+        .unwrap();
+    while !done.get() {
+        client.run_event_loop_once();
+        server.run_event_loop_once();
+    }
+    pool_allocs(server) - before
+}
+
+#[test]
+fn server_slot_takes_its_preallocated_response_on_first_use() {
+    for prealloc in [true, false] {
+        let fabric = MemFabric::new(MemFabricConfig::default());
+        let scfg = RpcConfig {
+            opt_preallocated_responses: prealloc,
+            ..cfg()
+        };
+        let mut server = Rpc::new(fabric.create_transport(Addr::new(0, 0)), scfg);
+        server.register_request_handler(ECHO, Box::new(|ctx, req| ctx.respond(req)));
+        let mut client = Rpc::new(fabric.create_transport(Addr::new(1, 0)), cfg());
+        let sess = connect(&mut client, &mut server);
+        assert_eq!(
+            pool_allocs(&server),
+            0,
+            "an idle server session holds no buffer"
+        );
+        // The first request to a slot takes its prealloc from the pool; the
+        // slot keeps it. Without the optimisation every response is pooled.
+        assert_eq!(echo_cost(&mut client, &mut server, sess), 1, "{prealloc}");
+        let again = echo_cost(&mut client, &mut server, sess);
+        assert_eq!(again, u64::from(!prealloc), "prealloc {prealloc}");
+    }
+}

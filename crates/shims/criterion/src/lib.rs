@@ -4,6 +4,10 @@
 //! it times a warmup window, then a measurement window, and prints the
 //! mean ns/iteration. Good enough for the micro-benchmarks' "tens of
 //! nanoseconds" sanity gauges.
+//!
+//! A name filter on the command line (`cargo bench --bench micro --
+//! large`: the first argument not starting with `-`) runs only the group
+//! targets whose function name contains it; without one every target runs.
 
 // This crate needs no unsafe code; keep it that way.
 #![forbid(unsafe_code)]
@@ -113,8 +117,13 @@ impl Bencher {
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
+            let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
             let mut c = $config;
-            $( $target(&mut c); )+
+            $(
+                if filter.as_deref().is_none_or(|f| stringify!($target).contains(f)) {
+                    $target(&mut c);
+                }
+            )+
         }
     };
     ($name:ident, $($target:path),+ $(,)?) => {

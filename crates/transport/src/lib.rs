@@ -32,6 +32,7 @@
 pub mod clock;
 pub mod codec;
 pub mod fault;
+mod mapping;
 pub mod mem;
 pub mod pkt;
 #[cfg(target_os = "linux")]

@@ -18,7 +18,7 @@
 //!   per-slot sequence number; the single consumer needs no CAS.
 //!
 //! Memory layout: one contiguous arena of `W + capacity` slots holds all
-//! payload bytes (`stride` a multiple of 64, slot 0 on a cache line), beside
+//! payload bytes (`stride` a multiple of 64, slot 0 on a page), beside
 //! an array of 16-byte `SlotMeta` records — sequence number, payload length
 //! and arena offset together, four slots to a cache line. Sequence numbers
 //! provide the acquire/release edges that make the payload writes of a
@@ -27,14 +27,14 @@
 //! released, else to its positional slot `W + p % capacity`: a shallow ring
 //! reuses the slots it just released. Admission is positional as before.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
 use crossbeam::utils::CachePadded;
 
+use crate::mapping::Mapping;
 use crate::pkt::{RxToken, TxPacket};
 
-/// Cache-line size the slot stride and the arena base are aligned to.
+/// Cache-line size; the slot stride is a multiple of it.
 const LINE: usize = 64;
 
 /// Hot window slots (at most half the ring); DESIGN.md § "MemFabric" has W's sweep.
@@ -69,10 +69,8 @@ struct SlotMeta {
 /// ```
 pub struct PacketRing {
     meta: Box<[SlotMeta]>,
-    /// Payload arena, one line longer than the slots so `base` can align it.
-    arena: Box<[UnsafeCell<u8>]>,
-    /// Offset of slot 0 in `arena` (< 64) that puts it on a cache line.
-    base: usize,
+    /// Payload arena: anonymous pages, resident only where packets land.
+    arena: Mapping,
     /// Bytes per slot, a multiple of 64.
     stride: usize,
     mask: usize,
@@ -92,17 +90,11 @@ pub struct PacketRing {
     closed: AtomicBool,
 }
 
-// SAFETY: `PacketRing` owns plain heap memory (`Box`ed arrays of atomics
-// and `UnsafeCell` bytes) with no thread-affine state, so moving the ring
-// to another thread cannot invalidate anything. All cross-thread
-// hand-off is governed by the per-slot ownership protocol documented on
-// the `Sync` impl below.
-// COVERS: ring_stress (Miri), concurrent_producers_no_loss_no_dup
-unsafe impl Send for PacketRing {}
-
 // SAFETY: shared access is race-free by the Vyukov slot-ownership
 // protocol; every field but `arena` is an atomic or is never written
-// after `new`. (1) Any thread may call `push_run` (multi-producer): the
+// after `new`, and `arena`'s mapped pages (`Send`, owned by the ring, no
+// thread-affine state) are written only through `slot_bytes` pointers.
+// (1) Any thread may call `push_run` (multi-producer): the
 // `enqueue_pos` CAS from `pos` to `pos + n` gives the winning producer
 // *exclusive* ownership of the slots of positions `pos .. pos + n` — it
 // saw each of them free (`seq == position`), and a free slot is taken
@@ -143,25 +135,16 @@ impl PacketRing {
                 off: AtomicU32::new(0),
             })
             .collect();
-        // One allocation, hot window first, zeroed: a large arena comes from
-        // the OS and is faulted in only where packets land. Offsets are `u32`.
+        // One mapping, hot window first: zero pages the kernel faults in
+        // only where packets land, whatever the heap would recycle. Offsets
+        // are `u32`.
         let arena_len = (cap + hot)
             .checked_mul(stride)
-            .and_then(|slots| slots.checked_add(LINE))
             .filter(|&len| u32::try_from(len).is_ok())
             .expect("ring arena exceeds 4 GiB");
-        let bytes = vec![0u8; arena_len].into_boxed_slice();
-        // SAFETY: `UnsafeCell<u8>` is `repr(transparent)` over `u8`, so the
-        // slice types share one layout and the allocation is later freed
-        // with the layout it was made with; `bytes` is owned, so no other
-        // reference to it exists.
-        // COVERS: ring unit tests, ring_stress (Miri)
-        let arena = unsafe { Box::from_raw(Box::into_raw(bytes) as *mut [UnsafeCell<u8>]) };
-        let base = (arena.as_ptr() as usize).wrapping_neg() % LINE;
         Self {
             meta,
-            arena,
-            base,
+            arena: Mapping::zeroed(arena_len),
             stride,
             mask: cap - 1,
             hot,
@@ -210,7 +193,7 @@ impl PacketRing {
         } else {
             self.hot + (pos & self.mask)
         };
-        self.base + slot * self.stride
+        slot * self.stride
     }
 
     /// First byte of the slot at arena offset `off`. Derived from the
@@ -218,7 +201,7 @@ impl PacketRing {
     #[inline]
     fn slot_bytes(&self, off: usize) -> *mut u8 {
         debug_assert!(off + self.stride <= self.arena.len());
-        UnsafeCell::raw_get(self.arena.as_ptr().wrapping_add(off))
+        self.arena.as_ptr().wrapping_add(off)
     }
 
     /// Producer side: copy a run of packets (`hdr` then `data` of each)
@@ -478,7 +461,7 @@ mod tests {
 
     /// Whether `tok`'s bytes lie in `r`'s hot window.
     fn in_window(r: &PacketRing, tok: &RxToken) -> bool {
-        (tok.off as usize) < r.base + r.hot * r.stride
+        (tok.off as usize) < r.hot * r.stride
     }
 
     /// Push packets `from..from + n` (4-byte payloads) one at a time, claim them
@@ -570,6 +553,32 @@ mod tests {
         assert!(in_window(&r, &after[0]));
         assert_eq!(r.claimed_bytes(&next[0]), n.to_le_bytes());
         assert_eq!(r.claimed_bytes(&after[0]), (n + 1).to_le_bytes());
+    }
+
+    /// The arena is mapped, not cleared: a fresh ring holds none of its
+    /// pages, and a push makes resident the page its slot lies in.
+    #[cfg(all(target_os = "linux", not(miri)))]
+    #[test]
+    fn arena_pages_are_resident_only_where_packets_land() {
+        let r = PacketRing::new(4096, 1040);
+        let pages = r.arena.resident_pages();
+        assert!(
+            pages.iter().all(|&p| !p),
+            "a fresh ring holds no arena page"
+        );
+        assert!(push(&r, b"first"));
+        let tok = claim(&r).unwrap();
+        let pages = r.arena.resident_pages();
+        assert!(
+            pages[tok.off as usize / 4096],
+            "the slot's page is resident"
+        );
+        let resident = pages.iter().filter(|&&p| p).count();
+        assert!(
+            resident < pages.len() / 2,
+            "{resident} of {} pages",
+            pages.len()
+        );
     }
 
     #[test]

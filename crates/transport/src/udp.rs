@@ -49,6 +49,7 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 
 use crate::clock::MonoClock;
+use crate::mapping::Mapping;
 use crate::pkt::{Addr, RxToken, TransportStats, TxPacket};
 use crate::Transport;
 
@@ -106,8 +107,8 @@ const GRO_BUF: usize = 64 * 1024;
 /// Fewest buffers posted per receive on the segmented rung. Traffic that
 /// does not coalesce (many peers, mixed sizes, peers on a lower rung)
 /// lands one packet per buffer, so this bounds packets per `recvmmsg`;
-/// it is kept at twice core's default `rx_batch`. The arena is virtual
-/// memory until touched: a buffer costs the pages its datagrams fill.
+/// it is kept at twice core's default `rx_batch`. The arena is an
+/// anonymous mapping: a buffer costs the pages its datagrams fill.
 const MIN_GRO_BUFS: usize = 64;
 
 /// Kernel limits on one `UDP_SEGMENT` message: segments (64 until Linux
@@ -267,11 +268,12 @@ pub struct UdpTransport {
     /// the probes.
     rung: UdpBatching,
     clock: MonoClock,
-    /// RX buffers, one allocation: `rx_bufs` buffers of `rx_stride` bytes.
+    /// RX buffers, one anonymous mapping: `rx_bufs` buffers of `rx_stride`
+    /// bytes, resident only where datagrams land.
     /// Below the segmented rung a buffer is one byte larger than the
     /// largest packet so an oversized datagram is detectable (rather than
     /// silently truncated); with `UDP_GRO` on it is `GRO_BUF`.
-    rx_arena: Box<[u8]>,
+    rx_arena: Mapping,
     rx_stride: usize,
     rx_bufs: usize,
     /// The socket has `UDP_GRO` on: receives carry cmsg room. Fixed at
@@ -344,7 +346,7 @@ impl UdpTransport {
             routes: HashMap::new(),
             rung,
             clock: MonoClock::new(),
-            rx_arena: vec![0u8; rx_stride * rx_bufs].into_boxed_slice(),
+            rx_arena: Mapping::zeroed(rx_stride * rx_bufs),
             rx_stride,
             rx_bufs,
             rx_gro,
@@ -977,6 +979,31 @@ mod tests {
                 assert_eq!(b.rx_bytes(tok), &[i as u8; 32], "{rung:?}");
             }
         }
+    }
+
+    /// The RX arena is mapped, not cleared: a freshly bound transport holds
+    /// none of its pages, and a datagram makes resident the page it lands in.
+    #[cfg(all(target_os = "linux", not(miri)))]
+    #[test]
+    fn rx_arena_pages_are_resident_only_where_datagrams_land() {
+        let (a, mut b) = pair_with(UdpConfig::default());
+        drop(a);
+        let pages = b.rx_arena.resident_pages();
+        assert!(
+            pages.iter().all(|&p| !p),
+            "a fresh transport holds no arena page"
+        );
+        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+        raw.send_to(&[0x11u8; 64], b.local_addr().unwrap()).unwrap();
+        assert_eq!(drain(&mut b, 1, 8), vec![vec![0x11u8; 64]]);
+        let pages = b.rx_arena.resident_pages();
+        assert!(pages[0], "the first buffer's page is resident");
+        let resident = pages.iter().filter(|&&p| p).count();
+        assert!(
+            resident < pages.len() / 2,
+            "{resident} of {} pages",
+            pages.len()
+        );
     }
 
     /// Traffic that never coalesces (here: one sender, every size

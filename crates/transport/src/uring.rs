@@ -17,6 +17,7 @@ use std::os::raw::{c_int, c_long, c_void};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
+use crate::mapping::Mapping;
 use crate::rawsock::MsgHdr;
 
 /// The frozen handle of the probe. It has no values: there is no io_uring
@@ -75,12 +76,6 @@ const IOSQE_BUFFER_SELECT: u8 = 1 << 5;
 const IORING_CQE_F_MORE: u32 = 1 << 1;
 
 const EINTR: i32 = 4;
-const PROT_READ: c_int = 1;
-const PROT_WRITE: c_int = 2;
-const MAP_SHARED: c_int = 0x01;
-const MAP_PRIVATE: c_int = 0x02;
-const MAP_ANONYMOUS: c_int = 0x20;
-const MAP_POPULATE: c_int = 0x8000;
 
 /// `struct io_sqring_offsets`.
 #[repr(C)]
@@ -181,15 +176,6 @@ const _: () = {
 
 extern "C" {
     fn syscall(num: c_long, ...) -> c_long;
-    fn mmap(
-        addr: *mut c_void,
-        len: usize,
-        prot: c_int,
-        flags: c_int,
-        fd: c_int,
-        off: i64,
-    ) -> *mut c_void;
-    fn munmap(addr: *mut c_void, len: usize) -> c_int;
     fn close(fd: c_int) -> c_int;
 }
 
@@ -235,7 +221,7 @@ fn note(delta: i32) {
     let _ = delta;
 }
 
-/// An owned fd; closed on drop (an RAII guard, like [`Mapping`]).
+/// An owned fd; closed on drop (an RAII guard, like [`Mapped`]).
 struct Fd(i32);
 
 impl Fd {
@@ -257,65 +243,45 @@ impl Drop for Fd {
     }
 }
 
-/// One mmap'd region; unmapped on drop.
-struct Mapping {
-    ptr: *mut u8,
-    len: usize,
-}
+/// One probe mapping: the shared guard, counted in the test ledger.
+struct Mapped(Mapping);
 
-impl Mapping {
+impl Mapped {
     /// Map `len` bytes of the ring `fd` at `offset`, or anonymous zeroed
     /// pages (page-aligned, as a buffer ring requires) when `fd` is -1.
     fn new(len: usize, fd: i32, offset: i64) -> Option<Self> {
-        let flags = if fd < 0 {
-            MAP_PRIVATE | MAP_ANONYMOUS
-        } else {
-            MAP_SHARED | MAP_POPULATE
-        };
-        let (any, prot) = (std::ptr::null_mut(), PROT_READ | PROT_WRITE);
-        // SAFETY: a fresh mapping at any address the kernel chooses; no
-        // existing memory is touched, and MAP_FAILED is checked below and
-        // never dereferenced.
-        // COVERS: probe_failure_leaks_nothing, full_construction_does_not_leak_on_drop
-        let p = unsafe { mmap(any, len, prot, flags, fd, offset) };
-        if p as isize == -1 {
-            return None;
-        }
+        let m = Mapping::new(len, fd, offset)?;
         note(1);
-        Some(Self { ptr: p.cast(), len })
+        Some(Self(m))
     }
 
     /// The kernel-shared `u32` ring word at byte `off`.
     fn u32_at(&self, off: u32) -> &AtomicU32 {
         let off = off as usize;
-        assert!(off.is_multiple_of(4) && off + 4 <= self.len);
+        assert!(off.is_multiple_of(4) && off + 4 <= self.0.len());
         // SAFETY: in bounds and 4-aligned (the mapping is page-aligned),
         // alive as long as `&self`; `AtomicU32` is valid for every bit
         // pattern, and the kernel's side of a ring word is atomic too.
         // COVERS: full_construction_does_not_leak_on_drop
-        unsafe { &*(self.ptr.wrapping_add(off) as *const AtomicU32) }
+        unsafe { &*(self.0.as_ptr().wrapping_add(off) as *const AtomicU32) }
     }
 
     /// Write `v` at byte `off`: an SQE or buffer-ring entry the kernel
     /// does not read until it is published.
     fn write<T: Copy>(&self, off: usize, v: T) {
-        assert!(off + std::mem::size_of::<T>() <= self.len);
+        assert!(off + std::mem::size_of::<T>() <= self.0.len());
         // SAFETY: in bounds (checked above) of memory this guard owns;
         // unaligned write of plain bytes, into a slot the kernel does not
         // read until it is published.
         // COVERS: full_construction_does_not_leak_on_drop
-        unsafe { (self.ptr.wrapping_add(off) as *mut T).write_unaligned(v) }
+        unsafe { (self.0.as_ptr().wrapping_add(off) as *mut T).write_unaligned(v) }
     }
 }
 
-impl Drop for Mapping {
+impl Drop for Mapped {
     fn drop(&mut self) {
-        // SAFETY: `ptr`/`len` are exactly what mmap returned for this
-        // guard; unmapped once, here.
-        // COVERS: probe_failure_leaks_nothing, full_construction_does_not_leak_on_drop
-        if unsafe { munmap(self.ptr as *mut _, self.len) } == 0 {
-            note(-1);
-        }
+        // The guard inside unmaps it once, right after this.
+        note(-1);
     }
 }
 
@@ -348,8 +314,8 @@ fn register(fd: i32, op: u32, reg: &BufReg) -> i64 {
 /// in slot `n`, completions are read in order.
 struct Ring<'a> {
     fd: i32,
-    rings: &'a Mapping,
-    sqes: &'a Mapping,
+    rings: &'a Mapped,
+    sqes: &'a Mapped,
     p: &'a UringParams,
     submitted: u32,
     cq_head: u32,
@@ -458,9 +424,9 @@ fn ladder(fail_at: u8) -> Result<(), UringError> {
     // Rung 3: map the rings (SQ and CQ share one mapping).
     let sq_len = p.sq_off.array as usize + p.sq_entries as usize * 4;
     let cq_len = p.cq_off.cqes as usize + p.cq_entries as usize * 16;
-    let rings = Mapping::new(sq_len.max(cq_len), ring_fd.0, IORING_OFF_SQ_RING)
+    let rings = Mapped::new(sq_len.max(cq_len), ring_fd.0, IORING_OFF_SQ_RING)
         .ok_or_else(|| failed("mmap-rings"))?;
-    let sqes = Mapping::new(p.sq_entries as usize * 64, ring_fd.0, IORING_OFF_SQES)
+    let sqes = Mapped::new(p.sq_entries as usize * 64, ring_fd.0, IORING_OFF_SQES)
         .ok_or_else(|| failed("mmap-sqes"))?;
     if fail_at == 2 {
         return forced("forced-after-mmap");
@@ -469,7 +435,7 @@ fn ladder(fail_at: u8) -> Result<(), UringError> {
     // Rung 4: register the provided-buffer ring (5.19+), filled first: the
     // tail (bytes 14..16, entry 0's `resv`) past the last buffer. The
     // kernel reads the ring only after the register syscall.
-    let buf_ring = Mapping::new((RX_BUFS as usize * 16).max(4096), -1, 0)
+    let buf_ring = Mapped::new((RX_BUFS as usize * 16).max(4096), -1, 0)
         .ok_or_else(|| failed("mmap-buf-ring"))?;
     let mut bufs = vec![0u8; RX_BUFS as usize * RX_BUF_LEN];
     for bid in 0..RX_BUFS as usize {
@@ -483,7 +449,7 @@ fn ladder(fail_at: u8) -> Result<(), UringError> {
     }
     buf_ring.write(14, RX_BUFS as u16);
     let reg = BufReg {
-        ring_addr: buf_ring.ptr as u64,
+        ring_addr: buf_ring.0.as_ptr() as u64,
         ring_entries: RX_BUFS,
         ..BufReg::default()
     };

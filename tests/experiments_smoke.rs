@@ -164,6 +164,20 @@ fn nic_footprint_constant() {
 }
 
 #[test]
+fn host_setup_row_connects_every_session() {
+    // 2 × 64 puts each endpoint at the |RQ| / C limit of 128 live sessions.
+    let c = nic_footprint::measure_setup(2, 64, 1);
+    let phases = [
+        c.build_us,
+        c.rpc_new_us,
+        c.create_us,
+        c.connect_us,
+        c.teardown_us,
+    ];
+    assert!(phases.iter().all(|us| us.is_finite() && *us > 0.0), "{c:?}");
+}
+
+#[test]
 fn fig5_real_threads_scaling_shape() {
     let t1 = fig5_scalability::run_scale_threads(1, 120);
     let t4 = fig5_scalability::run_scale_threads(4, 120);
